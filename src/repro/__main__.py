@@ -504,7 +504,7 @@ def _run_spec(args) -> int:
         print(format_table(result))
         print()
         if not args.no_save:
-            out = save_result(result)
+            out = save_result(result, scenario=spec.name)
             print(f"saved -> {out}\n")
     return 0
 

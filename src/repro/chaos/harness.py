@@ -208,7 +208,7 @@ def _replay(
     """One fresh-server replay; (result, None) or (None, error detail)."""
     server = ModelServer(clock=FakeClock(), service_time_fn=workload.service_time_fn)
     digest = server.register(workload.graph, tenant)
-    guard = faults.inject_chaos(plan) if plan is not None else nullcontext()
+    guard = faults.inject(plan) if plan is not None else nullcontext()
     try:
         with guard:
             return replay_trace(server, digest, workload.trace, workload.payloads), None
@@ -431,7 +431,7 @@ def run_chaos_fabric(
     with MultiprocessExecutor(
         workers, task_timeout_s=task_timeout_s, max_requeues=2
     ) as executor:
-        with faults.inject_chaos(requeue_plan):
+        with faults.inject(requeue_plan):
             recovered = run_sweep(
                 _make_search_pieces(),
                 chaos_param_oracle,
@@ -469,7 +469,7 @@ def run_chaos_fabric(
     with MultiprocessExecutor(
         workers, task_timeout_s=task_timeout_s, max_requeues=1
     ) as executor:
-        with faults.inject_chaos(poison_plan):
+        with faults.inject(poison_plan):
             poisoned_sweep = run_sweep(
                 _make_search_pieces(),
                 chaos_param_oracle,

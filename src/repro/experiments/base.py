@@ -8,6 +8,7 @@ from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro import obs
 from repro.resilience.faults import fault_point
+from repro.resilience.retry import retry_after
 
 T = TypeVar("T")
 
@@ -85,10 +86,8 @@ def attempt(
             raise
         except Exception as exc:
             last_error = f"{type(exc).__name__}: {exc}"
-            if attempt_no <= retries:
+            if retry_after(attempt_no, retries, backoff_s, time.sleep):
                 obs.incr("experiments.row_retries")
-                if backoff_s > 0:
-                    time.sleep(backoff_s * 2 ** (attempt_no - 1))
     obs.incr("experiments.row_failures")
     result.record_failure(label, last_error, attempt_no)
     result.note(f"FAILED row {label!r} after {attempt_no} attempts: {last_error}")

@@ -40,9 +40,11 @@ def format_table(result: ExperimentResult) -> str:
     return "\n".join(lines)
 
 
-def save_result(result: ExperimentResult, directory: Optional[str] = None) -> str:
+def save_result(result: ExperimentResult, directory: Optional[str] = None,
+                scenario: Optional[str] = None) -> str:
     """Write the rendered table under ``benchmarks/results/`` (or a given
-    directory) and return the path."""
+    directory) and return the path. A scenario spec's result is saved as
+    ``<scenario>.<experiment_id>.txt``, beside what ``repro run`` writes."""
     if directory is None:
         directory = os.environ.get(
             "REPRO_RESULTS_DIR",
@@ -50,7 +52,8 @@ def save_result(result: ExperimentResult, directory: Optional[str] = None) -> st
                 os.path.dirname(os.path.abspath(__file__))))), "benchmarks", "results"),
         )
     os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, f"{result.experiment_id}.txt")
+    stem = result.experiment_id if scenario is None else f"{scenario}.{result.experiment_id}"
+    path = os.path.join(directory, f"{stem}.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_table(result) + "\n")
     return path

@@ -46,6 +46,7 @@ from repro.models.micronets import _separable_stack
 from repro.models.spec import ArchSpec
 from repro.nas.budgets import ResourceBudget, resource_profile
 from repro.resilience.faults import fault_point
+from repro.resilience.retry import retry_after
 from repro.utils.rng import RngLike, new_rng, spawn_rng
 
 #: Sentinel genome value meaning "this block is skipped".
@@ -263,10 +264,8 @@ def run_eval_request(
         except Exception as exc:
             last_error = f"{type(exc).__name__}: {exc}"
             obs.incr("nas.blackbox.eval_errors")
-            if attempt <= request.max_retries:
+            if retry_after(attempt, request.max_retries, request.backoff_s, sleeper):
                 obs.incr("nas.blackbox.eval_retries")
-                if request.backoff_s > 0:
-                    sleeper(request.backoff_s * 2 ** (attempt - 1))
     return EvalOutcome(
         fitness=None,
         error=last_error,
@@ -342,10 +341,10 @@ class _BlackBoxSearch:
     bounded-retry degradation for failing oracles.
 
     A candidate whose ``evaluate`` call raises is retried up to
-    ``max_eval_retries`` times (sleeping ``retry_backoff_s * 2**attempt``
-    between attempts when nonzero); if it keeps failing it is recorded in
-    ``result.failures`` and treated as infeasible, so one bad candidate
-    cannot kill a long sweep.
+    ``max_eval_retries`` times on the :func:`~repro.resilience.retry_after`
+    schedule (``retry_backoff_s``, doubling per attempt); if it keeps
+    failing it is recorded in ``result.failures`` and treated as
+    infeasible, so one bad candidate cannot kill a long sweep.
 
     ``sleeper`` is the backoff wait function — ``time.sleep`` by default,
     injectable (e.g. a :class:`repro.serve.clock.FakeClock`'s ``sleep``)
@@ -667,15 +666,19 @@ class EvolutionarySearch(_BlackBoxSearch):
                 )
                 state["attempts"] += count
                 return [self.space.random_genome(rng) for _ in range(count)], None
-        if not population:
+        # Evolve proposals share the attempt budget RandomSearch uses: once
+        # every child is a memo hit or infeasible, nothing else would stop it.
+        count = min(self.generation_size, 50 * self.max_evaluations - state["attempts"])
+        if not population or count <= 0:
             return [], None
+        state["attempts"] += count
 
         def pick() -> Genome:
             contenders = [population[int(rng.integers(0, len(population)))] for _ in range(2)]
             return max(contenders, key=lambda item: item[1])[0]
 
         children = []
-        for _ in range(self.generation_size):
+        for _ in range(count):
             if rng.random() < self.mutation_probability or len(population) < 2:
                 children.append(self.space.mutate(pick(), rng))
             else:

@@ -25,6 +25,7 @@ fault-injection sites for the fabric are parent-side (``fabric_enqueue``,
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import time
 from dataclasses import replace
@@ -40,6 +41,7 @@ from repro.nas.fabric.store import (
     install_cache_delta,
 )
 from repro.resilience import faults
+from repro.resilience.retry import retry_after
 from repro.utils.rng import new_rng
 
 
@@ -224,8 +226,7 @@ class MultiprocessExecutor:
     def _collect(self, pool, request, task, space, evaluate, broadcast) -> EvalOutcome:
         if self.task_timeout_s is None:
             return task.get()
-        requeued = 0
-        while True:
+        for dispatch in itertools.count(1):
             try:
                 return task.get(self.task_timeout_s)
             except multiprocessing.TimeoutError:
@@ -235,7 +236,9 @@ class MultiprocessExecutor:
                 # owns a wedged slot — close() must terminate, not join.
                 self._dirty = True
                 obs.incr("fabric.task_timeouts")
-                if requeued >= self.max_requeues:
+                if not retry_after(dispatch, self.max_requeues, 0.0, time.sleep):
+                    # requeues/poisoned are bumped only here, each beside
+                    # its fabric.* obs counter, so the two stay equal.
                     self.poisoned += 1
                     obs.incr("fabric.poisoned")
                     return EvalOutcome(
@@ -243,12 +246,11 @@ class MultiprocessExecutor:
                         error=(
                             f"TimeoutError: candidate {request.index} exceeded "
                             f"the {self.task_timeout_s}s task deadline on "
-                            f"{requeued + 1} dispatches (poison candidate "
+                            f"{dispatch} dispatches (poison candidate "
                             f"quarantined)"
                         ),
-                        attempts=requeued + 1,
+                        attempts=dispatch,
                     )
-                requeued += 1
                 self.requeues += 1
                 obs.incr("fabric.requeues")
                 task = self._submit(pool, request, space, evaluate, broadcast)

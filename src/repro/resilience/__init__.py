@@ -1,4 +1,4 @@
-"""Fault tolerance for long runs: checkpoints, resume, fault injection.
+"""Fault tolerance for long runs: checkpoints, resume, fault injection, retry.
 
 The paper's results come from long DNAS and training runs whose value is
 entirely in their reproducible endpoints; a crash late in a search must not
@@ -13,10 +13,16 @@ decisions to an uninterrupted one. This package provides:
     :func:`repro.tasks.common.train_classifier`.
 
 ``repro.resilience.faults``
-    A deterministic fault-injection harness that raises at configurable hit
-    counts of instrumented sites (DNAS steps, train steps, candidate
-    evaluations, checkpoint writes), used to prove the checkpoint/resume and
-    retry paths. See ``docs/resilience.md``.
+    Deterministic fault injection through one installed :class:`ChaosPlan`:
+    raise-only crash sites (DNAS steps, train steps, candidate evaluations,
+    checkpoint writes) prove the checkpoint/resume and retry paths, and
+    behavior sites (serving invokes, fabric tasks) also hang, slow down or
+    corrupt on a seeded schedule. See ``docs/resilience.md``.
+
+``repro.resilience.retry``
+    :func:`retry_after`, the single bounded exponential-backoff schedule
+    behind experiment rows, candidate evaluations, serving invokes and the
+    fabric requeue budget.
 """
 
 from repro.resilience.checkpoint import (
@@ -34,14 +40,12 @@ from repro.resilience.faults import (
     ChaosAction,
     ChaosPlan,
     ChaosSpec,
-    FaultPlan,
-    FaultSpec,
     InjectedFault,
     chaos_point,
     fault_point,
     inject,
-    inject_chaos,
 )
+from repro.resilience.retry import retry_after
 
 __all__ = [
     "CHECKPOINT_MAGIC",
@@ -56,11 +60,9 @@ __all__ = [
     "ChaosAction",
     "ChaosPlan",
     "ChaosSpec",
-    "FaultPlan",
-    "FaultSpec",
     "InjectedFault",
     "chaos_point",
     "fault_point",
     "inject",
-    "inject_chaos",
+    "retry_after",
 ]

@@ -5,18 +5,21 @@ flaky data loaders — and the only way to *prove* that checkpoint/resume is
 correct is to crash a run on purpose at every instrumented site and show the
 resumed run is bitwise identical to an uninterrupted one.
 
-Stateful loops call :func:`fault_point` at their crash-relevant sites; the
-call is a single ``is None`` check unless a :class:`FaultPlan` is installed.
-A plan counts hits per site and raises :class:`InjectedFault` (or a custom
-exception, to exercise retry paths) on configured hit numbers, so failures
-are exactly reproducible: the Nth candidate evaluation, the Mth train step.
+One process-wide :class:`ChaosPlan` drives every site. A plan holds
+:class:`ChaosSpec`\\ s describing ``raise | hang | slow | corrupt``
+behaviors and counts hits per site, so failures are exactly reproducible:
+the Nth candidate evaluation, the Mth train step. Two kinds of call site
+consult it:
 
-Beyond raise-only faults the module carries a *chaos behavior plane*:
-:class:`ChaosSpec`/:class:`ChaosPlan` describe ``raise | hang | slow |
-corrupt`` behaviors, and behavior-aware call sites query
-:func:`chaos_point` for a :class:`ChaosAction` to interpret (advance a
-virtual clock, stretch a service time, mutate a payload copy). Chaos
-firing decisions are pure blake2b functions of ``(plan seed, site,
+* **crash sites** call :func:`fault_point`, a single ``is None`` check
+  unless a plan is installed; a ``raise`` spec raises
+  :class:`InjectedFault` (or a custom exception, to exercise retry paths)
+  on its configured hits;
+* **behavior sites** call :func:`chaos_point` for a :class:`ChaosAction`
+  to interpret (advance a virtual clock, stretch a service time, mutate a
+  payload copy).
+
+Firing decisions are pure blake2b functions of ``(plan seed, site,
 occurrence-or-key)`` — the same keying discipline as
 :func:`repro.nas.blackbox.candidate_rng` — so a chaos run is bitwise
 reproducible regardless of worker placement or retry interleaving.
@@ -45,12 +48,12 @@ Instrumented sites
 
 Usage::
 
-    with faults.inject(FaultSpec("dnas_step", at=7)):
+    with faults.inject(ChaosPlan(ChaosSpec("dnas_step", at=7))):
         search(...)          # raises InjectedFault on the 7th step
 
     plan = ChaosPlan(ChaosSpec("serve_invoke", "hang", rate=0.1,
                                duration_s=1.0), seed=42)
-    with faults.inject_chaos(plan):
+    with faults.inject(plan):
         replay_trace(server, ...)   # ~10% of invokes hang for 1s
 """
 
@@ -81,6 +84,10 @@ SITES = (
     "executor_task",
 )
 
+#: The sites that interpret hang/slow/corrupt actions (:func:`chaos_point`);
+#: the rest are raise-only crash sites (:func:`fault_point`).
+BEHAVIOR_SITES = ("serve_invoke", "executor_task")
+
 #: Chaos behavior kinds a :class:`ChaosSpec` may carry.
 CHAOS_KINDS = ("raise", "hang", "slow", "corrupt")
 
@@ -92,49 +99,6 @@ class InjectedFault(ReproError):
         super().__init__(f"injected fault at site {site!r} (hit #{hit})")
         self.site = site
         self.hit = hit
-
-
-@dataclass(frozen=True)
-class FaultSpec:
-    """Fire at a site on hit number ``at`` (1-based), for ``times`` hits.
-
-    ``times > 1`` keeps the site failing on consecutive hits — useful for
-    exhausting bounded retries. ``exception`` substitutes a custom exception
-    type (constructed with a message string) to exercise specific handlers.
-    """
-
-    site: str
-    at: int = 1
-    times: int = 1
-    exception: Optional[Type[BaseException]] = None
-
-    def should_fire(self, hit: int) -> bool:
-        return self.at <= hit < self.at + self.times
-
-
-class FaultPlan:
-    """Counts hits per site and fires the matching :class:`FaultSpec`."""
-
-    def __init__(self, *specs: FaultSpec) -> None:
-        self.specs: List[FaultSpec] = list(specs)
-        self.hits: Dict[str, int] = {}
-        self.fired: List[Tuple[str, int]] = []
-
-    def hit(self, site: str) -> None:
-        count = self.hits.get(site, 0) + 1
-        self.hits[site] = count
-        for spec in self.specs:
-            if spec.site == site and spec.should_fire(count):
-                self.fired.append((site, count))
-                obs.incr(f"faults.fired.{site}")
-                if spec.exception is not None:
-                    raise spec.exception(f"injected fault at site {site!r} (hit #{count})")
-                raise InjectedFault(site, count)
-
-
-# ---------------------------------------------------------------------------
-# Chaos behavior plane
-# ---------------------------------------------------------------------------
 
 
 def _fill_nan(payload: np.ndarray) -> np.ndarray:
@@ -200,7 +164,7 @@ class ChaosSpec:
     * **which occurrence/key** — deterministic ``rate`` (a pure
       :func:`chaos_uniform` draw per occurrence, or per key at keyed
       sites), an explicit ``keys`` tuple, or the ``at``/``times`` hit
-      window (matching :class:`FaultSpec`);
+      window;
     * **what happens** — ``kind`` with its parameter (``duration_s`` for
       hang, ``factor`` for slow, ``mutator`` for corrupt, ``exception``
       for raise).
@@ -225,6 +189,11 @@ class ChaosSpec:
         if self.kind not in CHAOS_KINDS:
             raise ConfigError(
                 f"chaos kind must be one of {CHAOS_KINDS}, got {self.kind!r}"
+            )
+        if self.kind != "raise" and self.site in SITES and self.site not in BEHAVIOR_SITES:
+            raise ConfigError(
+                f"site {self.site!r} is a raise-only crash site; {self.kind!r} "
+                f"needs one of {BEHAVIOR_SITES}"
             )
         if self.at < 1 or self.times < 1:
             raise ConfigError(
@@ -313,83 +282,53 @@ class ChaosPlan:
         return None
 
 
-_ACTIVE: Optional[FaultPlan] = None
-_ACTIVE_CHAOS: Optional[ChaosPlan] = None
+_ACTIVE: Optional[ChaosPlan] = None
 
 
-def active_plan() -> Optional[FaultPlan]:
+def active_plan() -> Optional[ChaosPlan]:
     """The currently installed plan, or None."""
     return _ACTIVE
 
 
-def install(plan: FaultPlan) -> FaultPlan:
+def install(plan: ChaosPlan) -> ChaosPlan:
     """Install a plan process-wide (replacing any previous one)."""
     global _ACTIVE
     _ACTIVE = plan
     return plan
 
 
-def active_chaos() -> Optional[ChaosPlan]:
-    """The currently installed chaos plan, or None."""
-    return _ACTIVE_CHAOS
-
-
-def install_chaos(plan: ChaosPlan) -> ChaosPlan:
-    """Install a chaos plan process-wide (replacing any previous one)."""
-    global _ACTIVE_CHAOS
-    _ACTIVE_CHAOS = plan
-    return plan
-
-
-def clear_chaos() -> None:
-    """Remove the installed chaos plan; chaos points become no-ops again."""
-    global _ACTIVE_CHAOS
-    _ACTIVE_CHAOS = None
-
-
 def clear() -> None:
-    """Remove *both* installed plans; every instrumented site is a no-op again.
+    """Remove the installed plan; every instrumented site is a no-op again.
 
-    This is the full process-wide reset used by the test fixture and by
-    forked pool workers — chaos decisions are parent-side by design.
+    This is the process-wide reset used by the test fixture and by forked
+    pool workers — fault decisions are parent-side by design.
     """
-    global _ACTIVE, _ACTIVE_CHAOS
-    _ACTIVE = None
-    _ACTIVE_CHAOS = None
-
-
-@contextmanager
-def inject(*specs: FaultSpec) -> Iterator[FaultPlan]:
-    """Install a plan for the duration of the block, then clear it."""
     global _ACTIVE
-    plan = install(FaultPlan(*specs))
-    try:
-        yield plan
-    finally:
-        _ACTIVE = None
+    _ACTIVE = None
 
 
 @contextmanager
-def inject_chaos(plan: ChaosPlan) -> Iterator[ChaosPlan]:
-    """Install a chaos plan for the duration of the block, then clear it."""
-    global _ACTIVE_CHAOS
-    install_chaos(plan)
+def inject(plan: ChaosPlan) -> Iterator[ChaosPlan]:
+    """Install ``plan`` for the duration of the block, then restore the
+    plan that enclosed it (None at top level)."""
+    global _ACTIVE
+    enclosing, _ACTIVE = _ACTIVE, plan
     try:
         yield plan
     finally:
-        _ACTIVE_CHAOS = None
+        _ACTIVE = enclosing
 
 
 def fault_point(site: str) -> None:
-    """Instrumented crash site: a single branch unless a plan is installed."""
+    """Raise-only crash site: a single branch unless a plan is installed."""
     if _ACTIVE is not None:
-        _ACTIVE.hit(site)
+        _ACTIVE.action(site)
 
 
 def chaos_point(site: str, key: Optional[int] = None) -> Optional[ChaosAction]:
-    """Instrumented behavior site: a single branch unless a chaos plan is
+    """Instrumented behavior site: a single branch unless a plan is
     installed. ``raise``-kind specs raise here; other kinds return a
     :class:`ChaosAction` for the caller to interpret (None = behave)."""
-    if _ACTIVE_CHAOS is None:
+    if _ACTIVE is None:
         return None
-    return _ACTIVE_CHAOS.action(site, key)
+    return _ACTIVE.action(site, key)

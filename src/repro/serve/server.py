@@ -49,6 +49,7 @@ from repro import obs
 from repro.errors import ConfigError, DeploymentError, GraphError
 from repro.hw.devices import MCUDevice
 from repro.resilience import faults
+from repro.resilience.retry import retry_after
 from repro.runtime.graph import Graph
 from repro.serve.clock import Clock, MonotonicClock
 from repro.serve.pool import InterpreterPool
@@ -184,7 +185,12 @@ class Response:
 
 @dataclass
 class ServerStats:
-    """Request-conservation ledger (always on, independent of obs)."""
+    """Request-conservation ledger (always on, independent of obs).
+
+    :meth:`count` is the one place any of these counts moves; it also bumps
+    the obs counter ``serve.<field>`` (``serve.shed`` plus
+    ``serve.shed.<code>`` for sheds), so the two can never drift.
+    """
 
     submitted: int = 0
     admitted: int = 0
@@ -194,6 +200,15 @@ class ServerStats:
     timeouts: int = 0  #: invoke attempts cut off at the per-invoke deadline
     breaker_opens: int = 0  #: closed/half-open -> open circuit transitions
     shed: Dict[str, int] = field(default_factory=dict)
+
+    def count(self, event: str, code: Optional[str] = None) -> None:
+        """Count one ``event`` (a field name); a shed carries its ``code``."""
+        if code is None:
+            setattr(self, event, getattr(self, event) + 1)
+        else:
+            self.shed[code] = self.shed.get(code, 0) + 1
+            obs.incr(f"serve.{event}.{code}")
+        obs.incr(f"serve.{event}")
 
     @property
     def shed_total(self) -> int:
@@ -457,8 +472,7 @@ class ModelServer:
         )
         self._next_id += 1
         self._next_seq += 1
-        self.stats.submitted += 1
-        obs.incr("serve.submitted")
+        self.stats.count("submitted")
 
         breaker = self._breakers.get(digest)
         if breaker is not None and not breaker.allow(now):
@@ -485,14 +499,11 @@ class ModelServer:
             )
             return request.id
         queue.append(request)
-        self.stats.admitted += 1
-        obs.incr("serve.admitted")
+        self.stats.count("admitted")
         return request.id
 
     def _shed(self, request: Request, reason: ShedReason) -> None:
-        self.stats.shed[reason.code] = self.stats.shed.get(reason.code, 0) + 1
-        obs.incr("serve.shed")
-        obs.incr(f"serve.shed.{reason.code}")
+        self.stats.count("shed", reason.code)
         self._responses.append(
             Response(
                 request_id=request.id,
@@ -599,16 +610,14 @@ class ModelServer:
         if self.service_time_fn is not None and hasattr(self.clock, "advance"):
             self.clock.advance(self.service_time_fn(digest, len(batch)))
         finish = self.clock.now()
-        self.stats.dispatches += 1
-        obs.incr("serve.dispatches")
+        self.stats.count("dispatches")
         obs.observe("serve.batch_size", len(batch))
 
         breaker = self._breakers.get(digest)
         if breaker is not None:
             if outputs is None:
                 if breaker.record_failure(finish):
-                    self.stats.breaker_opens += 1
-                    obs.incr("serve.breaker.opened")
+                    self.stats.count("breaker_opens")
             else:
                 breaker.record_success()
 
@@ -625,8 +634,7 @@ class ModelServer:
             return expired + len(batch)
 
         for i, request in enumerate(batch):
-            self.stats.completed += 1
-            obs.incr("serve.completed")
+            self.stats.count("completed")
             queue_s = now - request.arrival_s
             obs.observe("serve.queue_wait_s", queue_s)
             obs.observe("serve.latency_s", finish - request.arrival_s)
@@ -680,8 +688,7 @@ class ModelServer:
                     ):
                         # Cut the hang off at the deadline and hedge.
                         self._advance(tenant.invoke_timeout_s)
-                        self.stats.timeouts += 1
-                        obs.incr("serve.invoke_timeouts")
+                        self.stats.count("timeouts")
                         failure_code = SHED_TIMEOUT
                         if self._retry(tenant, attempt):
                             continue
@@ -699,8 +706,7 @@ class ModelServer:
                 estimated = self.service_time_fn(digest, len(batch)) * slow_factor
                 if estimated > tenant.invoke_timeout_s:
                     self._advance(tenant.invoke_timeout_s)
-                    self.stats.timeouts += 1
-                    obs.incr("serve.invoke_timeouts")
+                    self.stats.count("timeouts")
                     failure_code = SHED_TIMEOUT
                     if self._retry(tenant, attempt):
                         continue
@@ -745,14 +751,13 @@ class ModelServer:
         Retries are counted separately from dispatches (``serve.retries``
         vs ``serve.dispatches``): a logical dispatch increments the
         dispatch counter exactly once however many attempts it hedges, so
-        throughput metrics are never inflated by retries.
+        throughput metrics are never inflated by retries. Backoff sleeps go
+        through the server clock.
         """
-        if attempt > tenant.max_retries:
+        if not retry_after(attempt, tenant.max_retries, tenant.retry_backoff_s,
+                           self.clock.sleep):
             return False
-        self.stats.retries += 1
-        obs.incr("serve.retries")
-        if tenant.retry_backoff_s > 0:
-            self.clock.sleep(tenant.retry_backoff_s * 2 ** (attempt - 1))
+        self.stats.count("retries")
         return True
 
     def _advance(self, seconds: float) -> None:

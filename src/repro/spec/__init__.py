@@ -21,7 +21,7 @@ from repro.spec.compiler import (
 from repro.spec.fleet import run_fleet_plan
 from repro.spec.loader import (
     BUILTIN_SPEC_DIR,
-    ChaosFaultSpec,
+    ChaosInjectionSpec,
     ChaosScheduleSpec,
     DeviceSpec,
     ExperimentSpec,
@@ -42,7 +42,7 @@ from repro.spec.schema import load_schema, schema_errors
 
 __all__ = [
     "BUILTIN_SPEC_DIR",
-    "ChaosFaultSpec",
+    "ChaosInjectionSpec",
     "ChaosScheduleSpec",
     "DeviceSpec",
     "ExperimentPlan",

@@ -86,7 +86,7 @@ def _group_row(group: FleetGroupPlan, group_index: int, fleet_seed: int) -> dict
             breaker_cooldown_s=4 * traffic.deadline_s,
             quarantine_failed=True,
         )
-        chaos_guard = faults.inject_chaos(group.chaos.to_plan())
+        chaos_guard = faults.inject(group.chaos.to_plan())
     else:
         tenant = TenantConfig(
             max_batch=1,  # an MCU node serves one inference at a time

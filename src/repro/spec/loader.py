@@ -153,7 +153,7 @@ class FleetSpec:
 
 
 @dataclass(frozen=True)
-class ChaosFaultSpec:
+class ChaosInjectionSpec:
     """One declared misbehavior (spec units: durations in ms)."""
 
     site: str
@@ -185,7 +185,7 @@ class ChaosScheduleSpec:
     """A named, seeded fault schedule fleet groups can opt into."""
 
     name: str
-    faults: Tuple[ChaosFaultSpec, ...]
+    faults: Tuple[ChaosInjectionSpec, ...]
     seed: int = 0
 
     def to_plan(self):
@@ -349,7 +349,7 @@ def _build_scenario(data: dict, source: Optional[str]) -> ScenarioSpec:
         ChaosScheduleSpec(
             name=entry["name"],
             seed=entry.get("seed", 0),
-            faults=tuple(ChaosFaultSpec(**f) for f in entry["faults"]),
+            faults=tuple(ChaosInjectionSpec(**f) for f in entry["faults"]),
         )
         for entry in data.get("chaos") or ()
     )
@@ -492,7 +492,7 @@ def cross_reference_errors(spec: ScenarioSpec) -> List[str]:
                     f"(known: {', '.join(c.name for c in spec.chaos) or 'none'})"
                 )
 
-    from repro.resilience.faults import SITES as FAULT_SITES
+    from repro.resilience.faults import BEHAVIOR_SITES, SITES as FAULT_SITES
 
     for index, schedule in enumerate(spec.chaos):
         for j, fault in enumerate(schedule.faults):
@@ -500,6 +500,12 @@ def cross_reference_errors(spec: ScenarioSpec) -> List[str]:
                 errors.append(
                     f"chaos[{index}].faults[{j}].site: unknown fault site "
                     f"{fault.site!r} (known: {', '.join(FAULT_SITES)})"
+                )
+            elif fault.kind != "raise" and fault.site not in BEHAVIOR_SITES:
+                errors.append(
+                    f"chaos[{index}].faults[{j}].kind: {fault.site!r} is a "
+                    f"raise-only crash site; {fault.kind!r} needs one of "
+                    f"{', '.join(BEHAVIOR_SITES)}"
                 )
     return errors
 

@@ -26,22 +26,23 @@ import pytest
 from repro import obs
 from repro.chaos import (
     SERVE_SCHEDULES,
+    build_serve_workload,
     format_chaos_report,
     run_chaos_fabric,
     run_chaos_serve,
 )
+from repro.chaos.harness import chaos_param_oracle
 from repro.errors import ConfigError, GraphError
 from repro.resilience import faults
 from repro.resilience.faults import (
     ChaosAction,
     ChaosPlan,
     ChaosSpec,
-    FaultSpec,
     InjectedFault,
     chaos_uniform,
 )
 from repro.runtime.passes import compile_graph
-from repro.serve.bench import serving_model
+from repro.serve.bench import replay_trace, serving_model
 from repro.serve import (
     SHED_CIRCUIT,
     SHED_EXECUTION,
@@ -157,25 +158,34 @@ class TestChaosPlane:
         with pytest.raises(ConfigError, match=match):
             ChaosSpec("serve_invoke", **kwargs)
 
+    def test_behavior_kinds_rejected_at_crash_sites(self):
+        # A crash site only raises; a hang there would fire and do nothing.
+        with pytest.raises(ConfigError, match="raise-only crash site"):
+            ChaosSpec("train_step", "hang", duration_s=1.0)
+        ChaosSpec("train_step")  # raise is what a crash site does
+
     def test_chaos_point_is_noop_without_plan(self):
-        assert faults.active_chaos() is None
+        assert faults.active_plan() is None
         assert faults.chaos_point("serve_invoke") is None
 
     def test_clear_resets_both_planes(self):
-        faults.install(faults.FaultPlan(FaultSpec("dnas_step", at=1)))
-        faults.install_chaos(ChaosPlan(ChaosSpec("serve_invoke")))
+        # One plan drives both the raise-only crash sites and the behavior
+        # sites; clear() leaves every one of them a no-op.
+        faults.install(ChaosPlan(ChaosSpec("dnas_step", at=1), ChaosSpec("serve_invoke")))
         faults.clear()
         assert faults.active_plan() is None
-        assert faults.active_chaos() is None
+        faults.fault_point("dnas_step")
+        assert faults.chaos_point("serve_invoke") is None
 
     def test_inject_scopes_are_independent(self):
-        # A raise-only inject() block unwinding must not tear down an
-        # enclosing chaos plan (and vice versa).
-        with faults.inject_chaos(ChaosPlan(ChaosSpec("serve_invoke", at=10**9))):
-            with faults.inject(FaultSpec("dnas_step", at=10**9)):
+        # A nested inject() block unwinding must restore the plan that
+        # enclosed it, not tear it down.
+        outer = ChaosPlan(ChaosSpec("serve_invoke", at=10**9))
+        with faults.inject(outer):
+            with faults.inject(ChaosPlan(ChaosSpec("dnas_step", at=10**9))):
                 pass
-            assert faults.active_chaos() is not None
-        assert faults.active_chaos() is None
+            assert faults.active_plan() is outer
+        assert faults.active_plan() is None
 
 
 # ----------------------------------------------------------------------
@@ -190,7 +200,7 @@ class TestInvokeTimeoutAndHedge:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "hang", at=1, times=1, duration_s=60.0)
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, _PAYLOAD)
             server.run_until_idle()
         (response,) = server.drain()
@@ -208,7 +218,7 @@ class TestInvokeTimeoutAndHedge:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "hang", at=1, times=2, duration_s=60.0)
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, _PAYLOAD)
             server.run_until_idle()
         (response,) = server.drain()
@@ -226,7 +236,7 @@ class TestInvokeTimeoutAndHedge:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "hang", at=1, times=1, duration_s=3.0)
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, _PAYLOAD)
             server.run_until_idle()
         (response,) = server.drain()
@@ -243,7 +253,7 @@ class TestInvokeTimeoutAndHedge:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "slow", at=1, times=1, factor=100.0)
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, _PAYLOAD)
             server.run_until_idle()
         (response,) = server.drain()
@@ -264,7 +274,7 @@ class TestInvokeTimeoutAndHedge:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "corrupt", at=1, times=1, mutator="nan")
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, payload)
             server.run_until_idle()
         (response,) = server.drain()
@@ -282,7 +292,7 @@ class TestInvokeTimeoutAndHedge:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "hang", at=1, times=2, duration_s=60.0)
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, _PAYLOAD)
             server.run_until_idle()
         (response,) = server.drain()
@@ -291,7 +301,7 @@ class TestInvokeTimeoutAndHedge:
         # One logical dispatch, however many attempts it hedged.
         assert counters["serve.dispatches"] == 1
         assert counters["serve.retries"] == 2
-        assert counters["serve.invoke_timeouts"] == 2
+        assert counters["serve.timeouts"] == 2
         assert counters["chaos.fired.serve_invoke.hang"] == 2
 
 
@@ -318,7 +328,7 @@ class TestCircuitBreaker:
                          breaker_threshold=2, breaker_cooldown_s=5.0)
         )
         plan = ChaosPlan(ChaosSpec("serve_invoke", "raise", at=1, times=2))
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             for _ in range(2):
                 server.submit(digest, _PAYLOAD)
                 server.run_until_idle()
@@ -383,7 +393,7 @@ class TestPoolHealth:
         plan = ChaosPlan(
             ChaosSpec("serve_invoke", "corrupt", at=1, times=1, mutator="inf")
         )
-        with faults.inject_chaos(plan):
+        with faults.inject(plan):
             server.submit(digest, _PAYLOAD)
             server.run_until_idle()
         (response,) = server.drain()
@@ -446,6 +456,64 @@ class TestServeHarness:
         )
         text = format_chaos_report(report)
         assert "INVARIANT VIOLATION" in text and "bounded_stall" in text
+
+
+class TestSingleLedger:
+    """``ServerStats`` and the executor attributes are the ledger; the
+    ``serve.*`` / ``fabric.*`` obs counters come from the same increments."""
+
+    LEDGER_FIELDS = ("submitted", "admitted", "completed", "dispatches",
+                     "retries", "timeouts", "breaker_opens")
+
+    def test_serve_counters_equal_the_ledger(self):
+        workload = build_serve_workload("smoke", requests=160)
+        obs.enable()
+        events = ("retries", "timeouts", "breaker_opens", "shed_total")
+        seen = set()
+        for schedule in SERVE_SCHEDULES:
+            if schedule.name not in ("hang_storm", "crash_blackout"):
+                continue
+            obs.reset()
+            server = ModelServer(clock=FakeClock(),
+                                 service_time_fn=workload.service_time_fn)
+            digest = server.register(workload.graph, workload.defended_tenant())
+            with faults.inject(schedule.plan()):
+                replay_trace(server, digest, workload.trace, workload.payloads)
+            stats = server.stats
+            counters = obs.REGISTRY.as_dict()["counters"]
+            for name in self.LEDGER_FIELDS:
+                assert counters.get(f"serve.{name}", 0) == getattr(stats, name), name
+            assert counters.get("serve.shed", 0) == stats.shed_total
+            sheds = {key[len("serve.shed."):]: value for key, value in counters.items()
+                     if key.startswith("serve.shed.")}
+            assert sheds == stats.shed
+            seen |= {name for name in events if getattr(stats, name)}
+        # Together the two schedules shed, retry, time out and open a breaker.
+        assert seen == set(events)
+
+    @pytest.mark.fabric
+    def test_fabric_counters_equal_the_executor(self):
+        from repro.nas.blackbox import DSCNNSearchSpace, EvalRequest
+        from repro.nas.fabric import MultiprocessExecutor
+
+        space = DSCNNSearchSpace(
+            input_shape=(16, 8, 1), num_classes=4, width_options=(8, 16),
+            num_blocks=2, stem_kernel=(4, 4), stem_stride=(2, 2),
+        )
+        rng = np.random.default_rng(0)
+        requests = [EvalRequest(index=i, genome=space.random_genome(rng),
+                                sweep_seed=0, wants_rng=True) for i in range(3)]
+        # Candidate 1 hangs on every dispatch: one requeue, then poison.
+        plan = ChaosPlan(ChaosSpec("executor_task", "hang", keys=(1,), at=1,
+                                   times=10**9, duration_s=3.0))
+        obs.enable()
+        with MultiprocessExecutor(2, task_timeout_s=0.5, max_requeues=1) as executor:
+            with faults.inject(plan):
+                outcomes = executor.run(requests, space, chaos_param_oracle)
+        counters = obs.REGISTRY.as_dict()["counters"]
+        assert outcomes[1].fitness is None and outcomes[1].attempts == 2
+        assert counters["fabric.requeues"] == executor.requeues == 1
+        assert counters["fabric.poisoned"] == executor.poisoned == 1
 
 
 @pytest.mark.fabric

@@ -48,7 +48,7 @@ from repro.nas.fabric.store import (
     install_cache_delta,
 )
 from repro.resilience.checkpoint import CheckpointConfig
-from repro.resilience.faults import FaultSpec, InjectedFault, inject
+from repro.resilience.faults import ChaosPlan, ChaosSpec, InjectedFault, inject
 
 pytestmark = [pytest.mark.tier1, pytest.mark.fabric]
 
@@ -345,7 +345,7 @@ class TestFaultResume:
 
         config = CheckpointConfig(path=str(tmp_path / "run.npz"))
         CALL_LOG.clear()
-        with inject(FaultSpec(site=site, at=at)):
+        with inject(ChaosPlan(ChaosSpec(site, at=at))):
             with pytest.raises(InjectedFault):
                 run_sweep(make_searcher(), logging_param_oracle, rng=5,
                           checkpoint=config)

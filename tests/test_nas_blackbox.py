@@ -136,6 +136,22 @@ class TestSearchers:
         result = searcher.run(counting_fitness, rng=3)
         assert len(calls) == result.evaluations
 
+    def test_evolution_stops_when_the_space_runs_dry(self, space):
+        # Only 20 genomes fit this budget, fewer than max_evaluations: once
+        # each is evaluated every child is a memo hit or infeasible. The
+        # 50 x max_evaluations attempt cap must end the search.
+        budget = ResourceBudget(params=60_000, activation_bytes=40_000, ops=4_000_000)
+        searcher = EvolutionarySearch(
+            space, budget, max_evaluations=60, population_size=4, generation_size=4
+        )
+        session = searcher.start(0)
+        for _ in range(1_000):
+            if not searcher.step(session, param_count_fitness):
+                break
+        assert not searcher.active(session)
+        assert session.result.evaluations == 20
+        assert session.state["attempts"] == 50 * 60
+
     def test_zero_budget_rejected(self, space, budget):
         with pytest.raises(SearchError):
             RandomSearch(space, budget, max_evaluations=0)

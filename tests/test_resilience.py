@@ -30,7 +30,7 @@ from repro.resilience.checkpoint import (
     optimizer_state_from_arrays,
     save_checkpoint,
 )
-from repro.resilience.faults import FaultPlan, FaultSpec, InjectedFault, fault_point, inject
+from repro.resilience.faults import ChaosPlan, ChaosSpec, InjectedFault, fault_point, inject
 from repro.tasks.common import TrainConfig, train_classifier
 
 
@@ -42,17 +42,17 @@ class TestFaultInjection:
             fault_point("dnas_step")  # no plan installed: must not raise
 
     def test_fires_on_configured_hit(self):
-        with inject(FaultSpec(site="train_step", at=3)) as plan:
+        with inject(ChaosPlan(ChaosSpec("train_step", at=3))) as plan:
             fault_point("train_step")
             fault_point("train_step")
             with pytest.raises(InjectedFault) as excinfo:
                 fault_point("train_step")
         assert excinfo.value.site == "train_step"
         assert excinfo.value.hit == 3
-        assert plan.fired == [("train_step", 3)]
+        assert plan.fired == [("train_step", 3, "raise")]
 
     def test_times_window_keeps_firing(self):
-        with inject(FaultSpec(site="candidate_eval", at=2, times=2)) as plan:
+        with inject(ChaosPlan(ChaosSpec("candidate_eval", at=2, times=2))) as plan:
             fault_point("candidate_eval")
             for _ in range(2):
                 with pytest.raises(InjectedFault):
@@ -61,26 +61,26 @@ class TestFaultInjection:
         assert plan.hits["candidate_eval"] == 4
 
     def test_custom_exception_type(self):
-        with inject(FaultSpec(site="experiment_row", exception=RuntimeError)):
+        with inject(ChaosPlan(ChaosSpec("experiment_row", exception=RuntimeError))):
             with pytest.raises(RuntimeError):
                 fault_point("experiment_row")
 
     def test_sites_counted_independently(self):
-        with inject(FaultSpec(site="dnas_epoch", at=2)) as plan:
+        with inject(ChaosPlan(ChaosSpec("dnas_epoch", at=2))) as plan:
             fault_point("dnas_step")
             fault_point("dnas_epoch")
             fault_point("dnas_step")
         assert plan.hits == {"dnas_step": 2, "dnas_epoch": 1}
 
     def test_inject_clears_plan_on_exit(self):
-        with inject(FaultSpec(site="train_epoch")):
+        with inject(ChaosPlan(ChaosSpec("train_epoch"))):
             assert faults.active_plan() is not None
         assert faults.active_plan() is None
         fault_point("train_epoch")
 
     def test_install_replaces_and_clear_removes(self):
-        first = faults.install(FaultPlan())
-        second = faults.install(FaultPlan())
+        first = faults.install(ChaosPlan())
+        second = faults.install(ChaosPlan())
         assert faults.active_plan() is second and first is not second
         faults.clear()
         assert faults.active_plan() is None
@@ -139,7 +139,7 @@ class TestCheckpointFiles:
     def test_crash_during_write_preserves_previous(self, tmp_path):
         path = str(tmp_path / "run.npz")
         save_checkpoint(path, Checkpoint(kind="dnas", payload={"epoch": 1}))
-        with inject(FaultSpec(site="checkpoint_write")):
+        with inject(ChaosPlan(ChaosSpec("checkpoint_write"))):
             with pytest.raises(InjectedFault):
                 save_checkpoint(path, Checkpoint(kind="dnas", payload={"epoch": 2}))
         # The half-written temp file is gone; the old snapshot survives.
@@ -252,9 +252,9 @@ class TestDnasResume:
     @pytest.mark.parametrize(
         "spec",
         [
-            FaultSpec(site="dnas_epoch", at=3),      # crash entering epoch 2
-            FaultSpec(site="dnas_step", at=10),      # crash mid-epoch 2
-            FaultSpec(site="checkpoint_write", at=2),  # crash publishing epoch 1's snapshot
+            ChaosSpec("dnas_epoch", at=3),        # crash entering epoch 2
+            ChaosSpec("dnas_step", at=10),        # crash mid-epoch 2
+            ChaosSpec("checkpoint_write", at=2),  # crash publishing epoch 1's snapshot
         ],
         ids=lambda s: f"{s.site}@{s.at}",
     )
@@ -263,7 +263,7 @@ class TestDnasResume:
         golden = search(_make_supernet(), x, y, _BUDGET, config=_SEARCH_CONFIG, rng=1)
 
         checkpoint = CheckpointConfig(path=str(tmp_path / "dnas.npz"))
-        with inject(spec):
+        with inject(ChaosPlan(spec)):
             with pytest.raises(InjectedFault):
                 search(
                     _make_supernet(), x, y, _BUDGET,
@@ -299,7 +299,7 @@ class TestDnasResume:
         config = SearchConfig(epochs=2, warmup_epochs=1, batch_size=8)
         golden = search(_make_supernet(), x, y, _BUDGET, config=config, rng=1)
         checkpoint = CheckpointConfig(path=str(tmp_path / "smoke.npz"))
-        with inject(FaultSpec(site="dnas_epoch", at=2)):
+        with inject(ChaosPlan(ChaosSpec("dnas_epoch", at=2))):
             with pytest.raises(InjectedFault):
                 search(_make_supernet(), x, y, _BUDGET, config=config, rng=1,
                        checkpoint=checkpoint)
@@ -326,7 +326,7 @@ class TestTrainResume:
         arch, x, y, config = self._setup()
         golden = train_classifier(arch, x, y, config, rng=5)
         checkpoint = CheckpointConfig(path=str(tmp_path / "train.npz"))
-        with inject(FaultSpec(site=site, at=at)):
+        with inject(ChaosPlan(ChaosSpec(site, at=at))):
             with pytest.raises(InjectedFault):
                 train_classifier(arch, x, y, config, rng=5, checkpoint=checkpoint)
         resumed = train_classifier(arch, x, y, config, rng=5, checkpoint=checkpoint)
@@ -382,7 +382,7 @@ class TestBlackBoxDegradation:
         assert len(failed) == len(set(failed))  # each genome fails at most once
 
     def test_injected_candidate_eval_fault(self):
-        with inject(FaultSpec(site="candidate_eval", at=1)):
+        with inject(ChaosPlan(ChaosSpec("candidate_eval", at=1))):
             result = self._search(max_evaluations=3).run(lambda arch: 1.0, rng=0)
         # The injected crash hit the first attempt and the retry absorbed it.
         assert result.evaluations == 3
@@ -444,6 +444,6 @@ class TestExperimentAttempt:
         from repro.experiments.base import attempt
 
         result = self._result()
-        with inject(FaultSpec(site="experiment_row", at=1, times=5)):
+        with inject(ChaosPlan(ChaosSpec("experiment_row", at=1, times=5))):
             assert attempt(result, "row", lambda: 1, retries=1) is None
         assert len(result.failures) == 1

@@ -131,6 +131,17 @@ class TestCrossReferences:
         errors = scenario_errors(data)
         assert "shadows a builtin device" in errors[0]
 
+    def test_chaos_behavior_at_crash_site_rejected(self):
+        data = _minimal(
+            chaos=[{"name": "c", "faults": [
+                {"site": "serve_invoke", "kind": "hang", "duration_ms": 5},
+                {"site": "train_step", "kind": "hang", "duration_ms": 5},
+            ]}]
+        )
+        errors = scenario_errors(data, check_budgets=False)
+        assert len(errors) == 1
+        assert errors[0].startswith("chaos[0].faults[1].kind: 'train_step' is a raise-only")
+
     def test_family_expansion_in_experiments(self):
         data = _minimal(
             model_families=[{"name": "fam", "members": ["dscnn-s", "dscnn-m"]}],
@@ -398,3 +409,13 @@ class TestSpecCLI:
         out = capsys.readouterr().out
         assert "STM32F446RE" in out
         assert "STM32F767ZI" in out
+
+    def test_spec_run_saves_under_the_scenario_name(self, capsys, tmp_path, monkeypatch):
+        # `repro run table1` archives table1.txt; the spec run of the same
+        # table must land beside it, not on top of it.
+        from repro.__main__ import main
+
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
+        assert main(["spec", "run", "table1_devices"]) == 0
+        assert "table1-devices.table1.txt" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table1-devices.table1.txt"]
