@@ -1,10 +1,18 @@
-"""Integer reference kernels (the CMSIS-NN analogues).
+"""Integer kernels (the CMSIS-NN analogues), lowered onto the float kernels.
 
-These execute quantized operators with the same arithmetic an MCU would:
-int8 (or int4) operands, int32/int64 accumulation, fixed-point
-requantization, and fused activation clamping. They are *reference* kernels
-in the CMSIS-NN sense — bit-exact and vectorized with numpy, with no claim
-about host speed (device speed comes from :mod:`repro.hw`).
+They execute quantized operators with the arithmetic an MCU uses: int8 (or
+int4) operands, exact integer accumulation, fixed-point requantization and
+fused activation clamping. Conv, depthwise and dense run on the float
+path's kernels in :mod:`repro.tensor.gemm` (im2col plus a BLAS GEMM, the
+shift-and-add depthwise loop, a matmul). The input enters as
+``x_q - zero_point`` in float32, so their zero padding is TFLite's
+zero-point padding, and the integer weights enter as float32. This is
+exact: with reduction length K, every product and partial sum is an integer
+of magnitude at most K·max|x_q - zp|·max|w_q|, and float32 holds every
+integer below 2^24. An op whose bound reaches 2^24 takes float64 weights,
+exact below 2^53. The int32 bias and a Q31 requantization with multipliers
+decomposed once per op finish the op, bit for bit as an int32-accumulating
+integer kernel would.
 
 All spatial kernels use NHWC layout and TF padding semantics, consistent
 with the float path.
@@ -17,8 +25,9 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.errors import QuantizationError
-from repro.quantization.params import QuantParams, qrange, requantize
-from repro.tensor.conv import extract_patches, resolve_padding
+from repro.quantization.params import QuantParams, qrange, quantize_multiplier, requantize
+from repro.tensor import gemm
+from repro.tensor.conv import IntOrPair, extract_patches, resolve_padding
 
 
 def _activation_bounds(
@@ -44,17 +53,47 @@ def _pad_quantized(x: np.ndarray, pad_h, pad_w, zero_point: int) -> np.ndarray:
     return np.pad(x, ((0, 0), pad_h, pad_w, (0, 0)), constant_values=zero_point)
 
 
-def conv2d_int(
-    x_q: np.ndarray,
-    w_q: np.ndarray,
-    bias_q: np.ndarray,
-    in_params: QuantParams,
-    w_params: QuantParams,
-    out_params: QuantParams,
-    stride: int = 1,
-    padding: str = "same",
-    activation: Optional[str] = None,
-) -> np.ndarray:
+class IntLinear:
+    """A quantized ``conv2d``, ``depthwise_conv2d`` or ``dense`` op, bound once.
+
+    Holds what every invoke reuses: the weights in the float type that keeps
+    the op exact, the int64 bias, the per-channel Q31 multipliers and the
+    fused activation's clamp range. Calling it runs the op on a batch.
+    """
+
+    def __init__(self, kind: str, w_q: np.ndarray, bias_q: np.ndarray, in_params: QuantParams,
+                 w_params: QuantParams, out_params: QuantParams, stride: IntOrPair = 1,
+                 padding: str = "same", activation: Optional[str] = None) -> None:
+        self.kind, self.stride, self.padding = kind, stride, padding
+        self.zero_point, self.out_params = in_params.zero_point, out_params
+        qmin, qmax = qrange(in_params.bits)
+        depth = int(np.prod(w_q.shape[:-1]))  # K: KH·KW·C, KH·KW or IN
+        bound = (depth * max(qmax - self.zero_point, self.zero_point - qmin)
+                 * int(np.abs(w_q.astype(np.int64)).max(initial=0)))
+        self.weight = w_q.astype(np.float32 if bound < 2 ** 24 else np.float64)
+        self.bias = np.asarray(bias_q, dtype=np.int64)
+        self.multiplier = quantize_multiplier(
+            in_params.scale[0] * w_params.scale / float(out_params.scale[0]))
+        self.low, self.high = _activation_bounds(activation, out_params)
+
+    def __call__(self, x_q: np.ndarray) -> np.ndarray:
+        x = np.subtract(x_q, self.zero_point, dtype=np.float32)
+        if self.kind == "dense":
+            acc = x @ self.weight
+        elif self.kind == "conv2d":
+            acc, cache = gemm.conv2d_forward(x, self.weight, self.stride, self.padding)
+            cache.release()
+        else:
+            acc, _ = gemm.depthwise_conv2d_forward(x, self.weight, self.stride, self.padding)
+        # Exact: every accumulator is an integer-valued float.
+        acc = np.add(acc, self.bias, dtype=np.int64, casting="unsafe")
+        out = requantize(acc, self.multiplier, self.out_params.zero_point, self.out_params.bits)
+        return np.clip(out, self.low, self.high, out=out)
+
+
+def conv2d_int(x_q: np.ndarray, w_q: np.ndarray, bias_q: np.ndarray, in_params: QuantParams,
+               w_params: QuantParams, out_params: QuantParams, stride: IntOrPair = 1,
+               padding: str = "same", activation: Optional[str] = None) -> np.ndarray:
     """Quantized 2-D convolution.
 
     Parameters
@@ -63,63 +102,25 @@ def conv2d_int(
     w_q: (KH, KW, C, OC) integer weights (per-channel symmetric over OC).
     bias_q: (OC,) int32 bias, pre-scaled by ``in_scale * w_scale``.
     """
-    kh, kw = w_q.shape[:2]
-    pad_h, pad_w = resolve_padding(x_q.shape[1], x_q.shape[2], kh, kw, stride, padding)
-    padded = _pad_quantized(x_q, pad_h, pad_w, in_params.zero_point)
-    patches = extract_patches(padded, kh, kw, stride).astype(np.int64)
-    patches -= in_params.zero_point
-    acc = np.einsum("nxyckl,klcf->nxyf", patches, w_q.astype(np.int64), optimize=True)
-    acc += bias_q.astype(np.int64)
-    effective_scale = in_params.scale[0] * w_params.scale
-    out = requantize(acc, effective_scale, float(out_params.scale[0]), out_params.zero_point,
-                     bits=out_params.bits)
-    lo, hi = _activation_bounds(activation, out_params)
-    return np.clip(out, lo, hi).astype(out.dtype)
+    return IntLinear("conv2d", w_q, bias_q, in_params, w_params, out_params, stride, padding,
+                     activation)(x_q)
 
 
-def depthwise_conv2d_int(
-    x_q: np.ndarray,
-    w_q: np.ndarray,
-    bias_q: np.ndarray,
-    in_params: QuantParams,
-    w_params: QuantParams,
-    out_params: QuantParams,
-    stride: int = 1,
-    padding: str = "same",
-    activation: Optional[str] = None,
-) -> np.ndarray:
+def depthwise_conv2d_int(x_q: np.ndarray, w_q: np.ndarray, bias_q: np.ndarray,
+                         in_params: QuantParams, w_params: QuantParams, out_params: QuantParams,
+                         stride: IntOrPair = 1, padding: str = "same",
+                         activation: Optional[str] = None) -> np.ndarray:
     """Quantized depthwise convolution; weights are (KH, KW, C)."""
-    kh, kw = w_q.shape[:2]
-    pad_h, pad_w = resolve_padding(x_q.shape[1], x_q.shape[2], kh, kw, stride, padding)
-    padded = _pad_quantized(x_q, pad_h, pad_w, in_params.zero_point)
-    patches = extract_patches(padded, kh, kw, stride).astype(np.int64)
-    patches -= in_params.zero_point
-    acc = np.einsum("nxyckl,klc->nxyc", patches, w_q.astype(np.int64), optimize=True)
-    acc += bias_q.astype(np.int64)
-    effective_scale = in_params.scale[0] * w_params.scale
-    out = requantize(acc, effective_scale, float(out_params.scale[0]), out_params.zero_point,
-                     bits=out_params.bits)
-    lo, hi = _activation_bounds(activation, out_params)
-    return np.clip(out, lo, hi).astype(out.dtype)
+    return IntLinear("depthwise_conv2d", w_q, bias_q, in_params, w_params, out_params, stride,
+                     padding, activation)(x_q)
 
 
-def dense_int(
-    x_q: np.ndarray,
-    w_q: np.ndarray,
-    bias_q: np.ndarray,
-    in_params: QuantParams,
-    w_params: QuantParams,
-    out_params: QuantParams,
-    activation: Optional[str] = None,
-) -> np.ndarray:
+def dense_int(x_q: np.ndarray, w_q: np.ndarray, bias_q: np.ndarray, in_params: QuantParams,
+              w_params: QuantParams, out_params: QuantParams,
+              activation: Optional[str] = None) -> np.ndarray:
     """Quantized fully connected layer; weights are (IN, OUT)."""
-    x64 = x_q.astype(np.int64) - in_params.zero_point
-    acc = x64 @ w_q.astype(np.int64) + bias_q.astype(np.int64)
-    effective_scale = in_params.scale[0] * w_params.scale
-    out = requantize(acc, effective_scale, float(out_params.scale[0]), out_params.zero_point,
-                     bits=out_params.bits)
-    lo, hi = _activation_bounds(activation, out_params)
-    return np.clip(out, lo, hi).astype(out.dtype)
+    return IntLinear("dense", w_q, bias_q, in_params, w_params, out_params,
+                     activation=activation)(x_q)
 
 
 def avg_pool_int(

@@ -105,79 +105,76 @@ def dequantize(q: np.ndarray, params: QuantParams) -> np.ndarray:
     return ((np.asarray(q, dtype=np.float64) - params.zero_point) * scale).astype(np.float32)
 
 
-def quantize_multiplier(real_multiplier: float) -> Tuple[int, int]:
-    """Decompose a positive real multiplier into (mantissa_q31, shift).
+def quantize_multiplier(real_multiplier):
+    """Decompose positive real multipliers into ``(mantissa_q31, shift)``.
 
     ``real ≈ mantissa * 2^(shift - 31)`` with mantissa in [2^30, 2^31).
-    This matches TFLite's ``QuantizeMultiplier``.
+    This matches TFLite's ``QuantizeMultiplier``. A scalar gives two ints;
+    an array (one multiplier per channel) gives two int64 arrays, which an
+    op computes once and hands to :func:`requantize` on every invoke.
     """
-    if real_multiplier <= 0:
+    real = np.asarray(real_multiplier, dtype=np.float64)
+    if np.any(real <= 0):
         raise QuantizationError("requantization multiplier must be positive")
-    mantissa, exponent = np.frexp(real_multiplier)
-    mantissa_q31 = int(round(mantissa * (1 << 31)))
-    if mantissa_q31 == (1 << 31):  # rounding overflow: 0.5 → 1.0
-        mantissa_q31 //= 2
-        exponent += 1
-    return mantissa_q31, int(exponent)
+    mantissa, exponent = np.frexp(real)
+    mantissa_q31 = np.round(mantissa * (1 << 31)).astype(np.int64)
+    overflow = mantissa_q31 == (1 << 31)  # rounding overflow: 0.5 → 1.0
+    mantissa_q31, exponent = mantissa_q31 >> overflow, exponent.astype(np.int64) + overflow
+    if real.ndim == 0:
+        return int(mantissa_q31), int(exponent)
+    return mantissa_q31, exponent
 
 
-def multiply_by_quantized_multiplier(
-    acc: np.ndarray, mantissa_q31: int, shift: int
-) -> np.ndarray:
-    """Apply a fixed-point multiplier to int32 accumulators (vectorized).
+def multiply_by_quantized_multiplier(acc: np.ndarray, mantissa_q31, shift) -> np.ndarray:
+    """Apply fixed-point multipliers to int32 accumulators (vectorized).
 
-    Equivalent to TFLite's ``MultiplyByQuantizedMultiplier``: a saturating
-    Q31 multiply with round-half-away-from-zero, then an arithmetic shift.
+    Equivalent to TFLite's ``MultiplyByQuantizedMultiplier``: a rounding Q31
+    multiply, then a left shift (``shift > 0``) or a right shift rounding
+    half away from zero (``shift < 0``). ``mantissa_q31`` and ``shift`` are
+    scalars or per-channel arrays over the last axis of ``acc``.
     """
-    acc = np.asarray(acc, dtype=np.int64)
-    product = acc * mantissa_q31
-    # Q31 high multiply with round-half-away-from-zero. The nudged value is
-    # divided by 2^31 truncating toward zero (numpy's >> floors, so shift
-    # magnitudes and restore the sign), matching TFLite's
-    # SaturatingRoundingDoublingHighMul.
-    nudge = np.where(product >= 0, 1 << 30, 1 - (1 << 30))
-    nudged = product + nudge
-    high = np.where(nudged >= 0, nudged >> 31, -((-nudged) >> 31))
-    right_shift = -shift
-    if right_shift > 0:
-        rounding = np.int64(1) << (right_shift - 1)
-        high = np.where(
-            high >= 0,
-            (high + rounding) >> right_shift,
-            -((-high + rounding) >> right_shift),
-        )
-    elif right_shift < 0:
-        high = high << (-right_shift)
-    return high.astype(np.int64)
+    shift = np.asarray(shift, dtype=np.int64)
+    # TFLite adds 2^30 (1 - 2^30 to a negative product) and truncates toward
+    # zero: for either sign that is floor((p + 2^30) / 2^31). Every step is
+    # an unmasked in-place ufunc on one buffer.
+    out = np.asarray(acc, dtype=np.int64) * mantissa_q31
+    out += 1 << 30
+    out >>= 31
+    # Past 33 bits every int32 accumulator rounds to 0; capping the right
+    # shift at 62 keeps 2^(right-1) within int64.
+    left, right = np.maximum(shift, 0), np.clip(-shift, 0, 62)
+    if left.any():
+        out <<= left
+    if right.any():
+        # Half away from zero: floor((h + 2^(right-1) - [h < 0]) / 2^right).
+        negative = out >> 63  # -1 where h < 0, else 0
+        if not right.all():
+            negative &= np.where(right > 0, -1, 0)
+        out += negative
+        out += (np.int64(1) << right) >> 1
+        out >>= right
+    return out
 
 
 def requantize(
     acc: np.ndarray,
-    input_scale: np.ndarray,
-    output_scale: float,
+    multiplier,
     output_zero_point: int,
     bits: int = 8,
 ) -> np.ndarray:
     """int32 accumulators → int8/int4 outputs via fixed-point multipliers.
 
-    ``input_scale`` may be per-channel (last axis of ``acc``).
+    ``multiplier`` is the ``(mantissa, shift)`` pair :func:`quantize_multiplier`
+    returns for ``input_scale / output_scale``: one entry, or one per
+    channel (last axis of ``acc``). Saturates to the ``bits`` range.
     """
-    input_scale = np.atleast_1d(np.asarray(input_scale, dtype=np.float64))
-    out = np.empty(acc.shape, dtype=np.int64)
-    flat_scales = input_scale / float(output_scale)
-    if flat_scales.size == 1:
-        mantissa, shift = quantize_multiplier(float(flat_scales[0]))
-        out = multiply_by_quantized_multiplier(acc, mantissa, shift)
-    else:
-        if acc.shape[-1] != flat_scales.size:
-            raise QuantizationError(
-                f"per-channel scale count {flat_scales.size} != channels {acc.shape[-1]}"
-            )
-        out = np.empty(acc.shape, dtype=np.int64)
-        for c in range(flat_scales.size):  # channel loop is O(channels), cheap
-            mantissa, shift = quantize_multiplier(float(flat_scales[c]))
-            out[..., c] = multiply_by_quantized_multiplier(acc[..., c], mantissa, shift)
+    mantissa, shift = multiplier
+    if np.size(mantissa) not in (1, acc.shape[-1]):
+        raise QuantizationError(
+            f"per-channel scale count {np.size(mantissa)} != channels {acc.shape[-1]}"
+        )
+    out = multiply_by_quantized_multiplier(acc, mantissa, shift)
+    out += output_zero_point
     qmin, qmax = qrange(bits)
-    out = np.clip(out + output_zero_point, qmin, qmax)
-    dtype = np.int8 if bits <= 8 else np.int16
-    return out.astype(dtype)
+    np.clip(out, qmin, qmax, out=out)
+    return out.astype(np.int8 if bits <= 8 else np.int16)

@@ -3,8 +3,8 @@
 Executes a :class:`~repro.runtime.graph.Graph` op by op in schedule order.
 Two execution modes are supported, chosen per-graph by the activation dtype:
 
-* **int8/int4**: full integer inference with the CMSIS-NN-style reference
-  kernels in :mod:`repro.quantization.kernels` (int32 accumulate, fixed
+* **int8/int4**: full integer inference with the CMSIS-NN-style kernels in
+  :mod:`repro.quantization.kernels` (exact integer accumulation, fixed
   point requantization). Float inputs are quantized at the graph boundary
   and outputs are dequantized back, as an application would do on device.
 * **float32**: plain float kernels, used to measure the accuracy cost of
@@ -35,6 +35,10 @@ from repro.tensor.backend import get_backend
 #: dtype family each tensor-spec dtype admits at execution time (int4 is
 #: carried unpacked as int8; accumulators may widen within the family).
 _INTEGER_DTYPES = ("int8", "int4", "int16", "int32")
+#: Activation dtypes that select the integer kernels.
+_QUANTIZED_DTYPES = ("int8", "int4", "int16")
+#: Op kinds whose constants are bound once per interpreter.
+_LINEAR_KINDS = ("conv2d", "depthwise_conv2d", "dense")
 
 
 class Interpreter:
@@ -82,6 +86,8 @@ class Interpreter:
         validate_graph(graph)
         self.graph = graph
         self._check_constants()
+        #: Per-op constants bound once (see :meth:`_bind`), keyed by op name.
+        self._bound = {op.name: self._bind(op) for op in graph.ops if op.kind in _LINEAR_KINDS}
         if debug_checks is None:
             debug_checks = os.environ.get("REPRO_DEBUG_CHECKS", "0") not in ("", "0")
         self.debug_checks = bool(debug_checks)
@@ -127,6 +133,27 @@ class Interpreter:
                         f"{tuple(spec.data.shape)} != spec shape {tuple(spec.shape)}"
                     )
 
+    def _bind(self, op: OpNode):
+        """Constants of a conv/depthwise/dense op, prepared for every invoke.
+
+        A quantized op binds to a :class:`~repro.quantization.kernels.IntLinear`
+        (float weights, int64 bias, Q31 multipliers, clamp range); a float op
+        to its float32 weight and bias.
+        """
+        tensors = self.graph.tensors
+        w_spec = tensors[op.inputs[1]]
+        b_spec = tensors[op.inputs[2]] if len(op.inputs) > 2 else None
+        out_spec = tensors[op.outputs[0]]
+        if out_spec.dtype in _QUANTIZED_DTYPES:
+            bias = b_spec.data if b_spec is not None else np.zeros(out_spec.shape[-1], np.int32)
+            return qk.IntLinear(
+                op.kind, w_spec.data, bias, tensors[op.inputs[0]].quant, w_spec.quant,
+                out_spec.quant, stride=_op_stride(op), padding=str(op.attrs.get("padding", "same")),
+                activation=op.attrs.get("activation"),
+            )
+        bias = np.asarray(b_spec.data, dtype=np.float32) if b_spec is not None else 0.0
+        return np.asarray(w_spec.data, dtype=np.float32), bias
+
     def _find_const_data_inputs(self) -> List[str]:
         names = set()
         for op in self.graph.ops:
@@ -139,10 +166,7 @@ class Interpreter:
 
     @property
     def is_quantized(self) -> bool:
-        return all(
-            self.graph.tensors[t].dtype in ("int8", "int4", "int16")
-            for t in self.graph.inputs
-        )
+        return all(self.graph.tensors[t].dtype in _QUANTIZED_DTYPES for t in self.graph.inputs)
 
     # ------------------------------------------------------------------
     def invoke(self, batch: np.ndarray) -> np.ndarray:
@@ -252,40 +276,16 @@ class Interpreter:
         tensors = self.graph.tensors
         out_name = op.outputs[0]
         out_spec = tensors[out_name]
-        quantized = out_spec.dtype in ("int8", "int4", "int16")
+        quantized = out_spec.dtype in _QUANTIZED_DTYPES
 
-        if op.kind in ("conv2d", "depthwise_conv2d", "dense"):
+        if op.kind in _LINEAR_KINDS:
             x = values[op.inputs[0]]
-            w_spec = tensors[op.inputs[1]]
-            b_spec = tensors[op.inputs[2]] if len(op.inputs) > 2 else None
-            activation = op.attrs.get("activation")
-            stride = _op_stride(op)
-            padding = str(op.attrs.get("padding", "same"))
-            in_spec = tensors[op.inputs[0]]
             if quantized:
-                kernel_fn = {
-                    "conv2d": qk.conv2d_int,
-                    "depthwise_conv2d": qk.depthwise_conv2d_int,
-                    "dense": qk.dense_int,
-                }[op.kind]
-                bias = (
-                    b_spec.data
-                    if b_spec is not None
-                    else np.zeros(out_spec.shape[-1], dtype=np.int32)
-                )
-                if op.kind == "dense":
-                    values[out_name] = kernel_fn(
-                        x, w_spec.data, bias, in_spec.quant, w_spec.quant, out_spec.quant,
-                        activation=activation,
-                    )
-                else:
-                    values[out_name] = kernel_fn(
-                        x, w_spec.data, bias, in_spec.quant, w_spec.quant, out_spec.quant,
-                        stride=stride, padding=padding, activation=activation,
-                    )
+                values[out_name] = self._bound[op.name](x)
             else:
-                weight = w_spec.data.astype(np.float32)
-                bias = b_spec.data.astype(np.float32) if b_spec is not None else 0.0
+                weight, bias = self._bound[op.name]
+                stride = _op_stride(op)
+                padding = str(op.attrs.get("padding", "same"))
                 if op.kind == "conv2d":
                     if get_backend() == "gemm":
                         out, cache = fgemm.conv2d_forward(x, weight, stride, padding)
@@ -301,7 +301,7 @@ class Interpreter:
                 else:
                     out = x @ weight
                 out = out + bias
-                values[out_name] = _float_activation(out, activation)
+                values[out_name] = _float_activation(out, op.attrs.get("activation"))
             return
 
         if op.kind in ("avg_pool", "max_pool"):

@@ -39,6 +39,7 @@ device's SRAM.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -660,90 +661,83 @@ class ModelServer:
 
         Returns ``(outputs, "")`` on success or ``(None, shed_code)`` after
         the retry budget is exhausted — the caller sheds the batch with the
-        code (``execution_error`` or ``timeout``). Each attempt re-stacks
-        the pristine request payloads, so a corrupt-chaos attempt never
-        leaks a mutated payload into its retry, and queries the
-        ``serve_invoke`` chaos site (hang/slow/corrupt/raise behaviors).
-        A hung or over-deadline attempt is cut off at ``invoke_timeout_s``
-        on the server clock and hedged within the same retry budget.
+        code (``execution_error`` or ``timeout``) of the last attempt.
+        """
+        for attempt in itertools.count(1):  # _retry ends it after max_retries + 1
+            outputs, failure_code = self._attempt(digest, tenant, batch)
+            if outputs is not None or not self._retry(tenant, attempt):
+                return outputs, failure_code
+
+    def _attempt(
+        self, digest: str, tenant: TenantConfig, batch: List[Request]
+    ) -> Tuple[Optional[np.ndarray], str]:
+        """One dispatch attempt: ``(outputs, "")`` or ``(None, shed_code)``.
+
+        Each attempt re-stacks the pristine request payloads, so a
+        corrupt-chaos attempt never leaks a mutated payload into its retry,
+        and queries the ``serve_invoke`` chaos site (hang/slow/corrupt/raise
+        behaviors). A hang that reaches ``invoke_timeout_s``, or a service
+        estimate (stretched by a slow action) past it, is cut off at the
+        deadline on the server clock.
         """
         pool = self._pools[digest]
-        failure_code = SHED_EXECUTION
-        for attempt in range(1, tenant.max_retries + 2):
-            stacked = np.stack([r.payload for r in batch])
-            slow_factor = 1.0
-            try:
-                action = faults.chaos_point("serve_invoke")
-            except Exception:
-                obs.incr("serve.invoke_errors")
-                failure_code = SHED_EXECUTION
-                if self._retry(tenant, attempt):
-                    continue
-                return None, failure_code
-            if action is not None:
-                if action.kind == "hang":
-                    if (
-                        tenant.invoke_timeout_s is not None
-                        and action.duration_s >= tenant.invoke_timeout_s
-                    ):
-                        # Cut the hang off at the deadline and hedge.
-                        self._advance(tenant.invoke_timeout_s)
-                        self.stats.count("timeouts")
-                        failure_code = SHED_TIMEOUT
-                        if self._retry(tenant, attempt):
-                            continue
-                        return None, failure_code
-                    # A stall shorter than the deadline (or with no deadline
-                    # configured) just costs its duration.
-                    self._advance(action.duration_s)
-                elif action.kind == "slow":
-                    slow_factor = action.factor
-                elif action.kind == "corrupt" and action.mutator is not None:
-                    stacked = np.asarray(
-                        action.mutator(stacked), dtype=stacked.dtype
-                    ).reshape(stacked.shape)
-            if tenant.invoke_timeout_s is not None and self.service_time_fn is not None:
-                estimated = self.service_time_fn(digest, len(batch)) * slow_factor
-                if estimated > tenant.invoke_timeout_s:
-                    self._advance(tenant.invoke_timeout_s)
-                    self.stats.count("timeouts")
-                    failure_code = SHED_TIMEOUT
-                    if self._retry(tenant, attempt):
-                        continue
-                    return None, failure_code
-            if slow_factor > 1.0 and self.service_time_fn is not None:
-                # The baseline service time is advanced once per dispatch by
-                # the caller; a slow attempt pays the stretch on top.
-                self._advance(
-                    self.service_time_fn(digest, len(batch)) * (slow_factor - 1.0)
+        stacked = np.stack([r.payload for r in batch])
+        try:
+            action = faults.chaos_point("serve_invoke")
+        except Exception:
+            obs.incr("serve.invoke_errors")
+            return None, SHED_EXECUTION
+        hang_s, slow_factor = 0.0, 1.0
+        if action is not None:
+            if action.kind == "hang":
+                hang_s = action.duration_s
+            elif action.kind == "slow":
+                slow_factor = action.factor
+            elif action.kind == "corrupt" and action.mutator is not None:
+                stacked = np.asarray(
+                    action.mutator(stacked), dtype=stacked.dtype
+                ).reshape(stacked.shape)
+        deadline = tenant.invoke_timeout_s
+        hung = deadline is not None and hang_s >= deadline
+        if not hung:
+            # A stall shorter than the deadline (or with no deadline
+            # configured) just costs its duration.
+            self._advance(hang_s)
+        if deadline is not None and (hung or (
+            self.service_time_fn is not None
+            and self.service_time_fn(digest, len(batch)) * slow_factor > deadline
+        )):
+            self._advance(deadline)
+            self.stats.count("timeouts")
+            return None, SHED_TIMEOUT
+        if slow_factor > 1.0 and self.service_time_fn is not None:
+            # The baseline service time is advanced once per dispatch by
+            # the caller; a slow attempt pays the stretch on top.
+            self._advance(
+                self.service_time_fn(digest, len(batch)) * (slow_factor - 1.0)
+            )
+        interp = None
+        try:
+            with obs.span("serve/dispatch", model=digest, batch=len(batch)):
+                interp = pool.acquire()
+                outputs = interp.invoke(stacked)
+            if not np.all(np.isfinite(outputs)):
+                raise GraphError(
+                    f"non-finite values in model {digest} output "
+                    f"(corrupted dispatch)"
                 )
-            interp = None
-            try:
-                with obs.span("serve/dispatch", model=digest, batch=len(batch)):
-                    interp = pool.acquire()
-                    outputs = interp.invoke(stacked)
-                if not np.all(np.isfinite(outputs)):
-                    raise GraphError(
-                        f"non-finite values in model {digest} output "
-                        f"(corrupted dispatch)"
-                    )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception:
-                if interp is not None:
-                    if tenant.quarantine_failed:
-                        pool.quarantine(interp)
-                    else:
-                        pool.release(interp)
-                obs.incr("serve.invoke_errors")
-                failure_code = SHED_EXECUTION
-                if self._retry(tenant, attempt):
-                    continue
-                return None, failure_code
-            else:
-                pool.release(interp)
-                return outputs, ""
-        return None, failure_code
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except Exception:
+            if interp is not None:
+                if tenant.quarantine_failed:
+                    pool.quarantine(interp)
+                else:
+                    pool.release(interp)
+            obs.incr("serve.invoke_errors")
+            return None, SHED_EXECUTION
+        pool.release(interp)
+        return outputs, ""
 
     def _retry(self, tenant: TenantConfig, attempt: int) -> bool:
         """Consume one unit of the retry budget; False when exhausted.

@@ -46,7 +46,7 @@ __all__ = [
 
 
 class Workspace:
-    """A pool of reusable float32 scratch buffers, keyed by tag.
+    """A pool of reusable scratch buffers (float32 unless asked), keyed by tag.
 
     ``take(tag, n)`` returns a 1-D buffer with capacity ≥ ``n`` (callers
     slice and reshape it); ``give_back(tag, buf)`` returns it to the pool.
@@ -64,14 +64,15 @@ class Workspace:
         self.allocations = 0
         self.reuses = 0
 
-    def take(self, tag: str, num_elements: int) -> np.ndarray:
-        """Check out a 1-D float32 buffer with at least ``num_elements``."""
+    def take(self, tag: str, num_elements: int, dtype=np.float32) -> np.ndarray:
+        """Check out a 1-D buffer of ``dtype`` with at least ``num_elements``."""
         free = self._free.get(tag)
         if free:
             # Prefer the smallest buffer that fits to keep big ones available.
             best = None
             for i, buf in enumerate(free):
-                if buf.size >= num_elements and (best is None or buf.size < free[best].size):
+                if (buf.dtype == dtype and buf.size >= num_elements
+                        and (best is None or buf.size < free[best].size)):
                     best = i
             if best is not None:
                 self.reuses += 1
@@ -81,7 +82,7 @@ class Workspace:
         self.allocations += 1
         if obs.enabled():
             obs.incr("workspace.alloc")
-        return np.empty(num_elements, dtype=np.float32)
+        return np.empty(num_elements, dtype=dtype)
 
     def give_back(self, tag: str, buffer: np.ndarray) -> None:
         """Return a buffer obtained from :meth:`take` to the pool."""
@@ -316,8 +317,10 @@ def depthwise_conv2d_forward(
     oh = (x_padded.shape[1] - kh) // sh + 1
     ow = (x_padded.shape[2] - kw) // sw + 1
 
-    out = np.zeros((n, oh, ow, c), dtype=np.float32)
-    base = workspace.take("dw_scratch", out.size)
+    # Accumulate in the operands' type: float32 on the float path, float64
+    # where the integer kernels pass float64 weights to keep wide sums exact.
+    out = np.zeros((n, oh, ow, c), dtype=np.result_type(x_padded, weight))
+    base = workspace.take("dw_scratch", out.size, out.dtype)
     scratch = base[: out.size].reshape(out.shape)
     for i in range(kh):
         for j in range(kw):

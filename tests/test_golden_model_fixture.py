@@ -9,7 +9,7 @@ three independent contracts:
   bytes exactly (weight init, BN folding, and quantization are stable);
 * the **serializer** — deserialize → serialize is byte-identical;
 * the **interpreter** — inference on the deserialized graph reproduces
-  the stored logits.
+  the stored logits bit for bit.
 
 Regenerate (only after an *intentional* format or numerics change) with::
 
@@ -93,7 +93,7 @@ class TestGoldenFixture:
         io_pair = np.load(IO_PATH)
         with backend_scope("einsum"):
             logits = Interpreter(graph).invoke(io_pair["x"])
-        np.testing.assert_allclose(logits, io_pair["logits"], rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(logits, io_pair["logits"])
 
     def test_stored_input_matches_generator(self):
         io_pair = np.load(IO_PATH)

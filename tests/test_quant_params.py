@@ -110,25 +110,26 @@ class TestQuantizeMultiplier:
 class TestRequantize:
     def test_per_tensor(self):
         acc = np.array([400, -400])
-        out = requantize(acc, np.array([0.01]), 0.1, 0, bits=8)
+        out = requantize(acc, quantize_multiplier(np.array([0.01]) / 0.1), 0, bits=8)
         assert np.array_equal(out, [40, -40])
 
     def test_saturation(self):
         acc = np.array([10_000_000])
-        out = requantize(acc, np.array([0.5]), 0.5, 0, bits=8)
+        out = requantize(acc, quantize_multiplier(np.array([0.5]) / 0.5), 0, bits=8)
         assert out[0] == 127
 
     def test_per_channel(self):
         acc = np.array([[100, 100]])
-        out = requantize(acc, np.array([0.01, 0.02]), 0.1, 0, bits=8)
+        out = requantize(acc, quantize_multiplier(np.array([0.01, 0.02]) / 0.1), 0, bits=8)
         assert np.array_equal(out[0], [10, 20])
 
     def test_per_channel_mismatch_raises(self):
         with pytest.raises(QuantizationError):
-            requantize(np.zeros((2, 3), dtype=np.int64), np.array([0.1, 0.2]), 0.1, 0)
+            requantize(np.zeros((2, 3), dtype=np.int64),
+                       quantize_multiplier(np.array([0.1, 0.2]) / 0.1), 0)
 
     def test_zero_point_applied(self):
-        out = requantize(np.array([0]), np.array([1.0]), 1.0, 5, bits=8)
+        out = requantize(np.array([0]), quantize_multiplier(np.array([1.0]) / 1.0), 5, bits=8)
         assert out[0] == 5
 
 

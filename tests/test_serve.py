@@ -22,7 +22,7 @@ import pytest
 from repro import obs
 from repro.errors import DeploymentError, GraphError
 from repro.hw.devices import DEVICES
-from repro.models.micronets import micronet_kws_s
+from repro.models.micronets import micronet_ad_s, micronet_kws_s, micronet_vww_s
 from repro.models.spec import (
     ArchSpec,
     ConvSpec,
@@ -233,15 +233,25 @@ class TestBatchCoalescingParity:
                 "diverged from serial batch-1 execution"
             )
 
-    @pytest.mark.parametrize("bits", [32, 8], ids=["float", "int8"])
-    def test_micronet_kws_s_parity_across_batches(self, bits):
-        """A real serving model at batches 1/2/4: int8 bitwise, float close.
+    @pytest.mark.parametrize(
+        "model, bits, float_rtol",
+        [(micronet_kws_s, 32, 1e-6), (micronet_kws_s, 8, None),
+         (micronet_ad_s, 32, 1e-6), (micronet_ad_s, 8, None),
+         (micronet_vww_s, 32, 1e-5), (micronet_vww_s, 8, None)],
+        ids=["float", "int8", "ad-s-float", "ad-s-int8", "vww-s-float", "vww-s-int8"],
+    )
+    def test_micronet_kws_s_parity_across_batches(self, model, bits, float_rtol):
+        """The serving models at batches 1/2/4: int8 bitwise, float close.
 
-        A batched float GEMM may sum in another BLAS order than batch 1, so
-        float logits can move in the last bits (about 1e-11 against logits
-        of 3e-5 here); the int8 integer kernels cannot move at all.
+        MicroNet-KWS-S (ids ``float``/``int8``), -AD-S and -VWW-S, the one
+        with a residual ``add``. A batched float GEMM may sum in another
+        BLAS order than batch 1, so float logits can move in the last bits:
+        about 1e-11 against KWS-S logits of 3e-5, and up to 2.9e-6 of the
+        scale of VWW-S's untrained logits, which are about 1e-7 and so sit
+        far below the activations that sum to them. The int8 integer
+        kernels cannot move at all.
         """
-        arch = micronet_kws_s()
+        arch = model()
         rng = np.random.default_rng(7)
         graph = export_float_graph(arch)
         if bits == 8:
@@ -264,8 +274,8 @@ class TestBatchCoalescingParity:
             if bits == 8:
                 assert np.array_equal(outputs, expected), f"int8 batch {coalesce}"
             else:
-                assert np.all(np.abs(outputs - expected) <= 1e-6 * scale), (
-                    f"float batch {coalesce} moved more than 1e-6 of the output scale"
+                assert np.all(np.abs(outputs - expected) <= float_rtol * scale), (
+                    f"float batch {coalesce} moved more than {float_rtol} of the output scale"
                 )
 
     def test_parity_against_uncompiled_reference(self):
