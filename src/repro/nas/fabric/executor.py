@@ -16,10 +16,16 @@ over a ``fork`` worker pool; because every candidate draws its RNG stream
 from ``(sweep seed, candidate index)`` and outcomes merge in request
 order, an N-worker sweep is bitwise identical to the serial one.
 
+Between generations the pool would idle while the parent screens the next
+one, so :func:`pool_map` lends it out: the proxy screen scores its
+candidates there, and runs them inline whenever no clean pool is open.
+
 Worker-side caveats (by design): obs counters incremented inside a worker
 live in that worker's registry and are not merged back (the parent counts
-dispatches/failures itself), and fault plans are cleared in workers —
-fault-injection sites for the fabric are parent-side (``fabric_enqueue``,
+dispatches/failures itself), and the spans a worker records, including the
+per-candidate ``fabric/proxy_score`` spans of pooled scoring, stay in that
+worker's ring buffer; fault plans are cleared in workers — fault-injection
+sites for the fabric are parent-side (``fabric_enqueue``,
 ``fabric_complete``, ``checkpoint_write``).
 """
 
@@ -28,8 +34,9 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import time
+import weakref
 from dataclasses import replace
-from typing import Callable, List, Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro import obs
 from repro.errors import SearchError
@@ -68,10 +75,42 @@ def execute_request(
     )
 
 
+#: Weak reference to the :class:`MultiprocessExecutor` whose pool this
+#: process lends to :func:`pool_map`: set when a pool opens, cleared by
+#: ``close()``/``terminate()`` and in forked workers. Weak, so that lending
+#: never keeps an executor its owner dropped alive.
+_LENDER: Optional["weakref.ReferenceType[MultiprocessExecutor]"] = None
+
+
+def pool_map(fn: Callable[[Any], Any], items: Iterable[Any]) -> List[Any]:
+    """``[fn(item) for item in items]``, on the open fork pool if there is one.
+
+    The pool is that of the :class:`MultiprocessExecutor` open in this
+    process, found through process state (like the installed chaos plan)
+    because callers may wrap the executor. ``fn`` must then be a
+    module-level function the workers can import, and the items must
+    pickle: a worker that cannot unpickle its task dies with it, and
+    ``map`` never returns. Results come back in item order either way.
+
+    The loop runs inline instead when no pool is open: before the
+    executor's first ``run``, with :class:`SerialExecutor`, after
+    ``close()``/``terminate()``, inside a forked worker, and once the pool
+    has missed a task deadline — it then holds a worker the executor gave
+    up on, and ``map`` could wait on it forever.
+    """
+    executor = _LENDER() if _LENDER is not None else None
+    if executor is None or executor._dirty:
+        return [fn(item) for item in items]
+    return executor._pool.map(fn, items, chunksize=1)
+
+
 def _pool_worker_init() -> None:
+    global _LENDER
     # Forked workers inherit the parent's process-global fault plan; firing
     # it inside a worker would make hit counts depend on task placement.
     faults.clear()
+    # ...and its lent pool, whose queues belong to the parent.
+    _LENDER = None
 
 
 def _pool_run_task(args) -> EvalOutcome:
@@ -137,9 +176,10 @@ class MultiprocessExecutor:
     The pool is created lazily on first use (workers inherit whatever the
     parent caches already hold at that point — later discoveries travel via
     the broadcast) and must be :meth:`close`\\ d when the sweep ends;
-    :func:`repro.nas.fabric.run_sweep` does both. ``evaluate`` must be
-    picklable — a module-level function or a dataclass oracle like
-    :class:`repro.nas.fabric.MiniTaskOracle`.
+    :func:`repro.nas.fabric.run_sweep` does both. Between those, the pool
+    is lent to :func:`pool_map` until it misses a task deadline.
+    ``evaluate`` must be picklable — a module-level function or a
+    dataclass oracle like :class:`repro.nas.fabric.MiniTaskOracle`.
 
     Fault tolerance: with ``task_timeout_s`` set, every task result is
     collected under a per-task deadline. A deadline miss means a dead or
@@ -183,10 +223,20 @@ class MultiprocessExecutor:
         self.poisoned = 0
 
     def _ensure_pool(self):
+        global _LENDER
         if self._pool is None:
             context = multiprocessing.get_context("fork")
             self._pool = context.Pool(self.workers, initializer=_pool_worker_init)
+            _LENDER = weakref.ref(self)
         return self._pool
+
+    def _take_pool(self):
+        """Detach the pool (None if none is open) and stop lending it."""
+        global _LENDER
+        if _LENDER is not None and _LENDER() is self:
+            _LENDER = None
+        pool, self._pool = self._pool, None
+        return pool
 
     @staticmethod
     def _task_delay(request: EvalRequest) -> float:
@@ -257,9 +307,9 @@ class MultiprocessExecutor:
 
     def close(self) -> None:
         """Tear down the pool; idempotent, and safe with hung workers."""
-        if self._pool is None:
+        pool = self._take_pool()
+        if pool is None:
             return
-        pool, self._pool = self._pool, None
         if self._dirty:
             pool.terminate()
         else:
@@ -268,9 +318,9 @@ class MultiprocessExecutor:
 
     def terminate(self) -> None:
         """Kill the pool without waiting for in-flight tasks; idempotent."""
-        if self._pool is None:
+        pool = self._take_pool()
+        if pool is None:
             return
-        pool, self._pool = self._pool, None
         pool.terminate()
         pool.join()
 

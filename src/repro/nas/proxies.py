@@ -20,8 +20,9 @@ one — so the expensive scores are only spent inside the deployable region.
 
 Determinism: every score draws its synthetic batch and init from a stream
 keyed on ``(proxy seed, genome)`` — a pure function, independent of
-scoring order — and is memoized by genome, so the proxy stage preserves
-the fabric's bitwise reproducibility guarantees.
+scoring order and of the process it runs in — and is memoized by genome,
+so the proxy stage preserves the fabric's bitwise reproducibility
+guarantees.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from repro import obs
 from repro.models.spec import ArchSpec, build_module, output_shape
 from repro.nas.blackbox import Genome, feasible
 from repro.nas.budgets import ResourceBudget
+from repro.nas.fabric.executor import pool_map
 from repro.nn.losses import cross_entropy
 from repro.tensor import Tensor
 from repro.utils.rng import new_rng, spawn_rng
@@ -97,6 +99,22 @@ def ntk_condition_score(arch: ArchSpec, rng: np.random.Generator, batch_size: in
     return float(-np.log10(largest / smallest))
 
 
+def score_candidate(task: Tuple[int, int, Genome, ArchSpec]) -> Tuple[float, float]:
+    """``(seed, batch_size, genome, arch) -> (grad_norm, ntk_condition)``.
+
+    The one scoring function of :class:`ProxyScreen`, module-level so that
+    fork-pool workers can run it: both scores draw from a stream keyed on
+    ``(seed, genome)``, so the pair is the same in any process.
+    """
+    seed, batch_size, genome, arch = task
+    rng = spawn_rng(new_rng(seed), f"proxy/{genome}")
+    with obs.span("fabric/proxy_score", genome=str(genome)):
+        return (
+            grad_norm_score(arch, spawn_rng(rng, "grad_norm"), batch_size),
+            ntk_condition_score(arch, spawn_rng(rng, "ntk"), batch_size),
+        )
+
+
 def constrained_prune(
     candidates: Sequence[Tuple[Genome, ArchSpec]], budget: ResourceBudget
 ) -> Tuple[List[Tuple[Genome, ArchSpec]], List[Tuple[Genome, ArchSpec]]]:
@@ -136,6 +154,14 @@ class ProxyScreen:
     a genome re-proposed in a later generation is not re-scored and —
     because each score's stream is keyed on ``(seed, genome)`` — the same
     genome scores identically no matter when or where it is screened.
+
+    Each call scores its distinct unscored candidates as one batch through
+    :func:`repro.nas.fabric.executor.pool_map`: on the sweep's fork pool
+    while a :class:`~repro.nas.fabric.executor.MultiprocessExecutor` has
+    one open and clean (its workers idle between generations), inline
+    otherwise. The parent records one ``fabric/proxy_screen`` span per
+    ranking call; the per-candidate ``fabric/proxy_score`` spans stay in
+    the process that scored.
     """
 
     def __init__(self, config: Optional[ProxyConfig] = None, seed: int = 0) -> None:
@@ -147,17 +173,12 @@ class ProxyScreen:
 
     def scores(self, genome: Genome, arch: ArchSpec) -> Tuple[float, float]:
         """(grad_norm, ntk_condition) scores, memoized by genome."""
-        cached = self._scores.get(genome)
-        if cached is not None:
-            return cached
-        rng = spawn_rng(new_rng(self.seed), f"proxy/{genome}")
-        with obs.span("fabric/proxy_score", genome=str(genome)):
-            pair = (
-                grad_norm_score(arch, spawn_rng(rng, "grad_norm"), self.config.batch_size),
-                ntk_condition_score(arch, spawn_rng(rng, "ntk"), self.config.batch_size),
+        pair = self._scores.get(genome)
+        if pair is None:
+            pair = self._scores[genome] = score_candidate(
+                (self.seed, self.config.batch_size, genome, arch)
             )
-        self._scores[genome] = pair
-        self.scored_total += 1
+            self.scored_total += 1
         return pair
 
     @staticmethod
@@ -192,8 +213,20 @@ class ProxyScreen:
         keep_count = max(self.config.min_keep, int(count * self.config.keep_fraction))
         if keep_count >= count:
             return [True] * count
-        scored = [self.scores(genome, arch) for genome, arch in candidates]
-        combined = self.combined_rank(scored)
+        # Distinct unscored genomes in candidate order: one batch, scored on
+        # the idle fork pool when one is lent, and memoized in that order.
+        fresh = {genome: arch for genome, arch in candidates if genome not in self._scores}
+        with obs.span("fabric/proxy_screen", candidates=count, scored=len(fresh)):
+            pairs = pool_map(
+                score_candidate,
+                [(self.seed, self.config.batch_size, genome, arch)
+                 for genome, arch in fresh.items()],
+            )
+            self._scores.update(zip(fresh, pairs))
+            self.scored_total += len(fresh)
+            # Every candidate is a memo hit now.
+            scored = [self.scores(genome, arch) for genome, arch in candidates]
+            combined = self.combined_rank(scored)
         # Highest combined rank wins; ties resolve to the earlier proposal.
         winners = sorted(range(count), key=lambda i: (-combined[i], i))[:keep_count]
         keep = [False] * count

@@ -21,6 +21,7 @@ import pytest
 
 from repro import obs
 from repro.errors import CheckpointError
+from repro.nas import proxies
 from repro.nas.blackbox import (
     DSCNNSearchSpace,
     EvalOutcome,
@@ -41,6 +42,8 @@ from repro.nas.fabric import (
     run_sweep,
     simulate_schedule,
 )
+from repro.nas.fabric import executor as executor_module
+from repro.nas.fabric.executor import pool_map
 from repro.nas.fabric.store import (
     SHARED_CACHES,
     cache_key_snapshot,
@@ -95,6 +98,33 @@ def logging_param_oracle(arch, rng):
     """param_oracle that records which geometry it was called for."""
     CALL_LOG.append(repr(arch.layers))
     return param_oracle(arch, rng)
+
+
+def pid_of(item):
+    """(item, pid of the process that ran it): where pool_map put the call."""
+    return item, os.getpid()
+
+
+def lending_in_worker(_):
+    """(pid, nested pids) seen from a pool worker: its lent pool must be gone.
+
+    The nested ``pool_map`` runs only when no pool is lent in the worker; a
+    worker that inherited one would otherwise block on the parent's queues.
+    """
+    if executor_module._LENDER is not None:
+        return os.getpid(), None
+    return os.getpid(), [pid for _, pid in pool_map(pid_of, [0, 1])]
+
+
+def open_pool(executor):
+    """Open ``executor``'s pool the way a sweep does: with a first ``run``."""
+    genome = SPACE.random_genome(np.random.default_rng(0))
+    request = EvalRequest(index=0, genome=genome, sweep_seed=1, wants_rng=True)
+    executor.run([request], SPACE, param_oracle)
+
+
+def worker_pids(executor):
+    return {process.pid for process in executor._pool._pool}
 
 
 def make_searcher(max_evaluations=8):
@@ -237,6 +267,66 @@ class TestExecutorParity:
                 candidate_rng(request.sweep_seed, request.index),
             )
             assert outcome.fitness == expected
+
+
+# ----------------------------------------------------------------------
+# Pool lending: pool_map borrows the open, clean pool or runs inline
+# ----------------------------------------------------------------------
+class TestPoolLending:
+    def test_inline_without_an_open_pool(self):
+        parent = os.getpid()
+        assert pool_map(pid_of, ["a", "b"]) == [("a", parent), ("b", parent)]
+        SerialExecutor().run([], SPACE, param_oracle)
+        assert pool_map(pid_of, [1]) == [(1, parent)]
+        executor = MultiprocessExecutor(2)
+        # Constructed, but the pool opens only with the first run.
+        assert pool_map(pid_of, [1, 2]) == [(1, parent), (2, parent)]
+        executor.close()
+        assert pool_map(pid_of, []) == []
+
+    def test_runs_on_a_clean_open_pool_in_item_order(self):
+        with MultiprocessExecutor(2) as executor:
+            open_pool(executor)
+            results = pool_map(pid_of, list(range(6)))
+            assert [item for item, _ in results] == list(range(6))
+            pids = {pid for _, pid in results}
+            assert os.getpid() not in pids
+            assert pids <= worker_pids(executor)
+
+    @pytest.mark.parametrize("shutdown", ["close", "terminate"])
+    def test_inline_again_after_shutdown(self, shutdown):
+        executor = MultiprocessExecutor(2)
+        open_pool(executor)
+        assert os.getpid() not in {pid for _, pid in pool_map(pid_of, [0, 1])}
+        getattr(executor, shutdown)()
+        assert executor_module._LENDER is None
+        assert pool_map(pid_of, [0, 1]) == [(0, os.getpid()), (1, os.getpid())]
+
+    def test_inline_after_a_deadline_miss(self):
+        # Candidate 1's first dispatch hangs past the deadline and is
+        # requeued: the pool still owns the hung worker, so lending stops
+        # while that pool stays open — nothing may wait on that worker.
+        rng = np.random.default_rng(0)
+        requests = [EvalRequest(index=i, genome=SPACE.random_genome(rng),
+                                sweep_seed=0, wants_rng=True) for i in range(3)]
+        plan = ChaosPlan(ChaosSpec("executor_task", "hang", keys=(1,), at=1,
+                                   times=1, duration_s=3.0))
+        with MultiprocessExecutor(2, task_timeout_s=0.5, max_requeues=1) as executor:
+            with inject(plan):
+                outcomes = executor.run(requests, SPACE, param_oracle)
+            assert executor.requeues == 1 and all(o.fitness is not None for o in outcomes)
+            assert executor._pool is not None and executor._dirty
+            assert pool_map(pid_of, [0, 1, 2]) == [(i, os.getpid()) for i in range(3)]
+
+    def test_forked_workers_see_no_lent_pool(self):
+        # The second pool forks while the first is lent: its workers inherit
+        # that reference and must drop it, so pool_map inside them is inline.
+        with MultiprocessExecutor(2) as first, MultiprocessExecutor(2) as second:
+            open_pool(first)
+            open_pool(second)
+            for pid, nested in pool_map(lending_in_worker, [0, 1, 2, 3]):
+                assert pid in worker_pids(second)
+                assert nested == [pid, pid]
 
 
 # ----------------------------------------------------------------------
@@ -431,6 +521,63 @@ class TestProxyScreenedSweep:
         )
         assert sig(screened) == sig(repeat)
         assert repeat.result.screened == screened.result.screened
+
+    def test_pooled_screen_scores_in_workers_bitwise(self, tmp_path, monkeypatch):
+        # Reference: the in-process sweep, where the parent scores everything.
+        def searcher():
+            return RandomSearch(SPACE, BUDGET, max_evaluations=8, generation_size=4)
+
+        serial_screen = proxies.ProxyScreen(seed=7)
+        serial = run_sweep(searcher(), flaky_param_oracle, rng=7, proxy=serial_screen)
+        clear_profile_cache()
+
+        # Log each grad-norm score's pid, and each executor run, to one
+        # file: the patch is installed before the pool forks, so workers
+        # inherit it and their lines land in the same file.
+        log = tmp_path / "calls.log"
+
+        def record(line):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(line + "\n")
+
+        grad_norm_score, run = proxies.grad_norm_score, MultiprocessExecutor.run
+
+        def logged_grad_norm_score(arch, rng, batch_size=8):
+            record(str(os.getpid()))
+            return grad_norm_score(arch, rng, batch_size)
+
+        def logged_run(self, *args, **kwargs):
+            record("run")
+            return run(self, *args, **kwargs)
+
+        monkeypatch.setattr(proxies, "grad_norm_score", logged_grad_norm_score)
+        monkeypatch.setattr(MultiprocessExecutor, "run", logged_run)
+        pooled_screen = proxies.ProxyScreen(seed=7)
+        pooled = run_sweep(searcher(), flaky_param_oracle, rng=7, proxy=pooled_screen,
+                           workers=2)
+
+        lines = log.read_text(encoding="utf-8").split()
+        opened = lines.index("run")
+        before = lines[:opened]
+        after = [line for line in lines[opened:] if line != "run"]
+        assert pooled.generations >= 3 and after
+        # The first generation screens before the pool exists; once it is
+        # open, every candidate is scored in a worker.
+        assert set(before) == {str(os.getpid())}
+        assert str(os.getpid()) not in after and len(set(after)) <= 2
+        assert len(before) + len(after) == pooled_screen.scored_total
+
+        assert pooled.result.failures, "the flaky oracle must fail some candidates"
+        assert sig(pooled) == sig(serial)
+        assert pooled.result.screened == serial.result.screened > 0
+        assert pooled.result.failures == serial.result.failures
+
+        def memo_bits(screen):  # insertion order and exact float bits
+            return [(genome, tuple(float(v).hex() for v in pair))
+                    for genome, pair in screen._scores.items()]
+
+        assert memo_bits(pooled_screen) == memo_bits(serial_screen)
+        assert pooled_screen.scored_total == serial_screen.scored_total
 
     def test_bad_proxy_argument_rejected(self):
         with pytest.raises(TypeError, match="proxy must be"):

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from repro import obs
+from repro.nas import proxies
 from repro.nas.blackbox import DSCNNSearchSpace, candidate_rng, feasible
 from repro.nas.budgets import ResourceBudget
 from repro.nas.fabric import MiniTaskOracle
@@ -146,6 +148,91 @@ class TestProxyScreenSelection:
         # by proposal position (which would bias toward later candidates).
         ranks = ProxyScreen._ranks([2.0, 1.0, 1.0, 3.0])
         np.testing.assert_array_equal(ranks, [2.0, 0.0, 0.0, 3.0])
+
+
+# ----------------------------------------------------------------------
+# Batched screening: one batch per call, memoized, same pairs and flags
+# ----------------------------------------------------------------------
+def memo_bits(screen):
+    """The memo in insertion order, each score as its exact float bits."""
+    return [(genome, tuple(float(v).hex() for v in pair))
+            for genome, pair in screen._scores.items()]
+
+
+class TestBatchedScreen:
+    def _pool(self, count):
+        return [(g, SPACE.to_arch(g)) for g in distinct_genomes(21, count, BUDGET)]
+
+    def _counting(self, monkeypatch):
+        """Record the genome of every score_candidate call from now on."""
+        calls, score_candidate = [], proxies.score_candidate
+
+        def counted(task):
+            calls.append(task[2])
+            return score_candidate(task)
+
+        monkeypatch.setattr(proxies, "score_candidate", counted)
+        return calls
+
+    def test_each_distinct_unscored_genome_scored_once(self, monkeypatch):
+        pool = self._pool(6)
+        screen = ProxyScreen(seed=17)
+        for genome, arch in pool[:2]:
+            screen.scores(genome, arch)
+        calls = self._counting(monkeypatch)
+        # Repeats inside one call, and genomes scored earlier, cost nothing.
+        candidates = pool + [pool[3], pool[0], pool[5]]
+        screen(None, candidates)
+        assert calls == [genome for genome, _ in pool[2:]]
+        assert screen.scored_total == 6
+        assert list(screen._scores) == [genome for genome, _ in pool]
+
+    def test_second_call_scores_nothing(self, monkeypatch):
+        pool = self._pool(8)
+        screen = ProxyScreen(seed=17)
+        first = screen(None, pool)
+        scored = screen.scored_total
+        calls = self._counting(monkeypatch)
+        assert screen(None, pool) == first
+        assert calls == [] and screen.scored_total == scored == 8
+
+    def test_scores_returns_the_batched_pairs(self):
+        pool = self._pool(8)
+        batched, single = ProxyScreen(seed=17), ProxyScreen(seed=17)
+        batched(None, pool)
+        for genome, arch in pool:
+            single.scores(genome, arch)
+        assert memo_bits(batched) == memo_bits(single)
+        assert [batched.scores(g, a) for g, a in pool] == [single.scores(g, a) for g, a in pool]
+
+    @pytest.mark.parametrize("keep_fraction", [0.25, 0.5, 0.75])
+    def test_keep_flags_match_one_at_a_time_reference(self, keep_fraction):
+        config = ProxyConfig(keep_fraction=keep_fraction)
+        pool = self._pool(8)
+        reference = ProxyScreen(config, seed=17)
+        combined = reference.combined_rank([reference.scores(g, a) for g, a in pool])
+        keep_count = max(config.min_keep, int(len(pool) * keep_fraction))
+        winners = sorted(range(len(pool)), key=lambda i: (-combined[i], i))[:keep_count]
+        expected = [index in winners for index in range(len(pool))]
+        assert ProxyScreen(config, seed=17)(None, pool) == expected
+
+    def test_one_parent_span_per_screen_call(self):
+        pool = self._pool(6)
+        screen = ProxyScreen(seed=17)
+        obs.enable()
+        screen(None, pool)
+        screen(None, pool[:4])
+        spans = obs.completed_spans()
+        screens = [s for s in spans if s.name == "fabric/proxy_screen"]
+        assert [s.metadata for s in screens] == [
+            {"candidates": 6, "scored": 6},
+            {"candidates": 4, "scored": 0},
+        ]
+        # Scored inline (no pool is open), so the per-candidate spans are
+        # here too, nested in the first screen span.
+        scores = [s for s in spans if s.name == "fabric/proxy_score"]
+        assert len(scores) == 6
+        assert {s.parent_index for s in scores} == {screens[0].index}
 
 
 # ----------------------------------------------------------------------
