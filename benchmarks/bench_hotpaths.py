@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +67,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Workload presets: (batch, input_shape, width, dw_blocks, repeats).
 _TRAIN_PRESETS = {
-    "smoke": (4, (12, 12, 3), 16, 1, 1),
+    "smoke": (4, (12, 12, 3), 16, 1, 10),
     "ci": (8, (16, 16, 3), 32, 2, 3),
     "paper": (32, (32, 32, 3), 64, 3, 5),
 }
@@ -129,24 +129,45 @@ def _conv_net(input_shape, width: int, dw_blocks: int) -> Module:
     return Sequential(*layers)
 
 
-def _time_training_step(mode: str, backend_name: str) -> float:
-    batch, input_shape, width, dw_blocks, repeats = _TRAIN_PRESETS[mode]
+def _training_step(mode: str, backend_name: str) -> Callable[[], None]:
+    """One forward + backward + Adam step of the conv net under ``backend_name``."""
+    batch, input_shape, width, dw_blocks, _ = _TRAIN_PRESETS[mode]
     rng = new_rng(42)
     x = rng.standard_normal((batch,) + input_shape).astype(np.float32)
     y = rng.integers(0, 10, size=batch)
     with backend_scope(backend_name):
         model = _conv_net(input_shape, width, dw_blocks)
-        optimizer = Adam(model.parameters(), lr=1e-3)
-        model.train()
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    model.train()
 
-        def step() -> None:
+    def step() -> None:
+        with backend_scope(backend_name):
             logits = model(Tensor(x))
             loss = cross_entropy(logits, y)
             optimizer.zero_grad()
             loss.backward()
             optimizer.step()
 
-        return _best_of(step, repeats)
+    return step
+
+
+def _time_training_steps(mode: str) -> Tuple[float, float]:
+    """Best-of-N (einsum, gemm) training step times, timed alternately.
+
+    Alternating the two backends step by step puts both under the same host
+    load, so a contention spike cannot land on one side of the ratio only.
+    """
+    repeats = _TRAIN_PRESETS[mode][-1]
+    steps = {name: _training_step(mode, name) for name in ("einsum", "gemm")}
+    best = dict.fromkeys(steps, float("inf"))
+    for step in steps.values():
+        step()  # untimed warmup
+    for _ in range(max(1, repeats)):
+        for name, step in steps.items():
+            start = time.perf_counter()
+            step()
+            best[name] = min(best[name], time.perf_counter() - start)
+    return best["einsum"], best["gemm"]
 
 
 def _time_dnas_step(mode: str, backend_name: str) -> float:
@@ -469,8 +490,7 @@ def run_hotpath_bench(scale: Optional[Scale] = None, smoke: bool = False) -> Dic
     rows: List[Dict] = []
     workspace = default_workspace()
     workspace.clear()
-    train_einsum = _time_training_step(mode, "einsum")
-    train_gemm = _time_training_step(mode, "gemm")
+    train_einsum, train_gemm = _time_training_steps(mode)
     conv_row = {
         "section": "conv_training_step",
         "einsum_s": train_einsum,

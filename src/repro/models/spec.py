@@ -721,18 +721,9 @@ def export_float_graph(arch: ArchSpec, module: Optional[SpecModel] = None) -> Gr
 
 def calibrate_ranges(graph: Graph, data: np.ndarray) -> Dict[str, Tuple[float, float]]:
     """Observe min/max of every activation tensor on calibration data."""
-    interp = Interpreter(graph)
-    values: Dict[str, np.ndarray] = {}
-    in_name = graph.inputs[0]
-    values[in_name] = np.asarray(data, dtype=np.float32)
-    # Constant-folded graphs read materialized weight constants as data
-    # operands; seed them as broadcast views, exactly as invoke() does.
-    n = values[in_name].shape[0]
-    for name in interp._const_data_inputs:
-        const = graph.tensors[name].data
-        values[name] = np.broadcast_to(const[None, ...], (n,) + const.shape)
-    for op in graph.ops:
-        interp._execute(op, values)
+    # One pass over the whole batch (not invoke's tiles): every activation
+    # of every sample is in the returned value map.
+    values = Interpreter(graph).run_tile(np.asarray(data, dtype=np.float32))
     return {
         name: (float(v.min()), float(v.max()))
         for name, v in values.items()

@@ -10,12 +10,17 @@ Two execution modes are supported, chosen per-graph by the activation dtype:
 * **float32**: plain float kernels, used to measure the accuracy cost of
   quantization.
 
+A batch larger than the interpreter's tile (see :data:`TILE_ELEMENTS`) runs
+as consecutive tile-sized slices through the whole op loop, so each op's
+output is still in cache when the next op reads it.
+
 The interpreter also exposes the recording-API style accounting TFLM
 provides (arena size, per-tensor allocations) via :meth:`Interpreter.plan`.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from typing import Dict, List, Optional
@@ -39,6 +44,12 @@ _INTEGER_DTYPES = ("int8", "int4", "int16", "int32")
 _QUANTIZED_DTYPES = ("int8", "int4", "int16")
 #: Op kinds whose constants are bound once per interpreter.
 _LINEAR_KINDS = ("conv2d", "depthwise_conv2d", "dense")
+#: Element budget of one batch tile: the tile times the largest per-sample
+#: buffer any op touches (:func:`sample_elements`) stays within it. 2^18
+#: float32 elements is 1 MiB, half of a 2 MiB L2. It is fixed rather than
+#: measured at run time because the tile sets the float GEMM row counts,
+#: and with them the float results.
+TILE_ELEMENTS = 2 ** 18
 
 
 class Interpreter:
@@ -88,6 +99,8 @@ class Interpreter:
         self._check_constants()
         #: Per-op constants bound once (see :meth:`_bind`), keyed by op name.
         self._bound = {op.name: self._bind(op) for op in graph.ops if op.kind in _LINEAR_KINDS}
+        #: Samples per tile: :meth:`invoke` runs a larger batch in slices of this.
+        self.tile = max(1, TILE_ELEMENTS // sample_elements(graph))
         if debug_checks is None:
             debug_checks = os.environ.get("REPRO_DEBUG_CHECKS", "0") not in ("", "0")
         self.debug_checks = bool(debug_checks)
@@ -100,7 +113,8 @@ class Interpreter:
             self.max_batch = _check_batch_size(max_batch, "max_batch")
             self.plan(batch_size=self.max_batch)  # plan the arena up front
         #: Wall-clock seconds per op name from the most recent observed
-        #: invoke (populated only while observability is enabled).
+        #: invoke, summed over its tiles (populated only while observability
+        #: is enabled).
         self.last_op_timings: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -173,12 +187,13 @@ class Interpreter:
         """Run one batch through the graph.
 
         ``batch`` is float32 of shape (N, *input_shape); the result is
-        float32 logits/probabilities of shape (N, *output_shape).
+        float32 logits/probabilities of shape (N, *output_shape). A batch
+        larger than :attr:`tile` runs as consecutive tiles of that many
+        samples (the last one shorter), each through every op.
         """
         if len(self.graph.inputs) != 1 or len(self.graph.outputs) != 1:
             raise GraphError("invoke() supports single-input single-output graphs")
-        in_name = self.graph.inputs[0]
-        in_spec = self.graph.tensors[in_name]
+        in_spec = self.graph.tensors[self.graph.inputs[0]]
         batch = np.asarray(batch, dtype=np.float32)
         expected = (batch.shape[0],) + tuple(in_spec.shape)
         if batch.shape != expected:
@@ -190,11 +205,55 @@ class Interpreter:
                 f"plan(batch_size={self.max_batch}); re-plan or split the batch"
             )
 
-        values: Dict[str, np.ndarray] = {}
-        if self.is_quantized:
-            values[in_name] = quantize(batch, in_spec.quant)
+        if not obs.enabled():
+            out = self._run_tiles(batch, None)
         else:
-            values[in_name] = batch
+            n = int(batch.shape[0])
+            timings = {op.name: 0.0 for op in self.graph.ops}
+            with obs.span(
+                "interpreter/invoke", model=self.graph.name, batch=n,
+                tiles=max(1, -(-n // self.tile)),
+            ):
+                obs.incr("interpreter.invocations")
+                out = self._run_tiles(batch, timings)
+                for op in self.graph.ops:
+                    obs.observe(f"interpreter.op_seconds.{op.kind}", timings[op.name])
+                    obs.incr(f"interpreter.op_calls.{op.kind}")
+            self.last_op_timings = timings
+
+        out_spec = self.graph.tensors[self.graph.outputs[0]]
+        if out_spec.dtype != "float32" and out_spec.quant is not None:
+            return dequantize(out, out_spec.quant)
+        return np.asarray(out, dtype=np.float32)
+
+    def _run_tiles(self, batch: np.ndarray, timings: Optional[Dict[str, float]]) -> np.ndarray:
+        """The graph output for ``batch``, computed one tile at a time."""
+        out_name = self.graph.outputs[0]
+        n = batch.shape[0]
+        if n <= self.tile:
+            return self.run_tile(batch, timings)[out_name]
+        out = None
+        for start in range(0, n, self.tile):
+            part = self.run_tile(batch[start : start + self.tile], timings)[out_name]
+            if out is None:
+                out = np.empty((n,) + part.shape[1:], dtype=part.dtype)
+            out[start : start + len(part)] = part
+        return out
+
+    def run_tile(
+        self, batch: np.ndarray, timings: Optional[Dict[str, float]] = None
+    ) -> Dict[str, np.ndarray]:
+        """Run a float32 ``batch`` through every op at once; returns the value map.
+
+        :meth:`invoke` calls this once per tile; calibration calls it on a
+        whole batch to read every activation. With ``timings``, each op's
+        wall time is added to ``timings[op.name]``.
+        """
+        in_name = self.graph.inputs[0]
+        in_spec = self.graph.tensors[in_name]
+        values: Dict[str, np.ndarray] = {
+            in_name: quantize(batch, in_spec.quant) if self.is_quantized else batch
+        }
         # Materialized constants (from constant folding) enter the value map
         # as read-only broadcast views over the batch axis.
         n = int(batch.shape[0])
@@ -202,29 +261,15 @@ class Interpreter:
             data = self.graph.tensors[name].data
             values[name] = np.broadcast_to(data[None, ...], (n,) + data.shape)
 
-        if not obs.enabled():
+        if timings is None:
             for op in self.graph.ops:
                 self._execute(op, values)
         else:
-            self.last_op_timings = {}
-            with obs.span(
-                "interpreter/invoke", model=self.graph.name, batch=int(batch.shape[0])
-            ):
-                obs.incr("interpreter.invocations")
-                for op in self.graph.ops:
-                    start = time.perf_counter()
-                    self._execute(op, values)
-                    elapsed = time.perf_counter() - start
-                    self.last_op_timings[op.name] = elapsed
-                    obs.observe(f"interpreter.op_seconds.{op.kind}", elapsed)
-                    obs.incr(f"interpreter.op_calls.{op.kind}")
-
-        out_name = self.graph.outputs[0]
-        out = values[out_name]
-        out_spec = self.graph.tensors[out_name]
-        if out_spec.dtype != "float32" and out_spec.quant is not None:
-            return dequantize(out, out_spec.quant)
-        return np.asarray(out, dtype=np.float32)
+            for op in self.graph.ops:
+                start = time.perf_counter()
+                self._execute(op, values)
+                timings[op.name] += time.perf_counter() - start
+        return values
 
     # ------------------------------------------------------------------
     def _check_operands(self, op: OpNode, values: Dict[str, np.ndarray]) -> None:
@@ -300,7 +345,7 @@ class Interpreter:
                         out, _ = fconv.depthwise_conv2d_forward(x, weight, stride, padding)
                 else:
                     out = x @ weight
-                out = out + bias
+                out += bias  # the kernel's output is a fresh array
                 values[out_name] = _float_activation(out, op.attrs.get("activation"))
             return
 
@@ -431,11 +476,30 @@ def _op_stride(op: OpNode):
     return int(op.attrs.get("stride", 1))
 
 
+def sample_elements(graph: Graph) -> int:
+    """The largest per-sample buffer, in elements, that any op of ``graph`` touches.
+
+    Counts every non-constant operand and result, and each ``conv2d``'s
+    im2col matrix (OH·OW·KH·KW·C per sample).
+    """
+    tensors = graph.tensors
+    largest = 1
+    for op in graph.ops:
+        for t in op.inputs + op.outputs:
+            if tensors[t].kind not in ("weight", "bias"):
+                largest = max(largest, math.prod(tensors[t].shape))
+        if op.kind == "conv2d":
+            kh, kw, c = tensors[op.inputs[1]].shape[:3]
+            oh, ow = tensors[op.outputs[0]].shape[:2]
+            largest = max(largest, oh * ow * kh * kw * c)
+    return largest
+
+
 def _float_activation(x: np.ndarray, activation: Optional[str]) -> np.ndarray:
     if activation is None:
-        return x.astype(np.float32)
+        return x.astype(np.float32, copy=False)
     if activation == "relu":
-        return np.maximum(x, 0.0).astype(np.float32)
+        return np.maximum(x, 0.0).astype(np.float32, copy=False)
     if activation == "relu6":
-        return np.clip(x, 0.0, 6.0).astype(np.float32)
+        return np.clip(x, 0.0, 6.0).astype(np.float32, copy=False)
     raise GraphError(f"unknown activation {activation!r}")

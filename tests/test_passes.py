@@ -16,7 +16,8 @@ import pytest
 from repro.errors import GraphError
 from repro.quantization.params import QuantParams, affine_params_from_range
 from repro.runtime.graph import Graph, OpNode, TensorSpec
-from repro.runtime.interpreter import Interpreter
+from repro.runtime import interpreter
+from repro.runtime.interpreter import Interpreter, sample_elements
 from repro.runtime.passes import (
     LEVELS,
     CompiledModel,
@@ -442,18 +443,40 @@ class TestGoldenReplay:
 # ----------------------------------------------------------------------
 # Batched execution
 # ----------------------------------------------------------------------
+#: (batch, tile) cases: tile None keeps the default budget; the others set
+#: a budget that forces that tile, so batch 16 crosses tile boundaries
+#: (tile 3 leaves a remainder of 1).
+_BATCH_TILES = [
+    pytest.param(1, None, id="1"),
+    pytest.param(3, None, id="3"),
+    pytest.param(16, None, id="16"),
+    pytest.param(16, 1, id="16-tile1"),
+    pytest.param(16, 2, id="16-tile2"),
+    pytest.param(16, 3, id="16-tile3"),
+]
+
+
+def _tiled(graph: Graph, tile, monkeypatch, **kwargs) -> Interpreter:
+    """An interpreter for ``graph`` whose budget forces ``tile`` (None: default)."""
+    if tile is not None:
+        monkeypatch.setattr(interpreter, "TILE_ELEMENTS", tile * sample_elements(graph))
+    interp = Interpreter(graph, **kwargs)
+    assert tile is None or interp.tile == tile
+    return interp
+
+
 class TestBatchExecution:
-    @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_batch_vs_loop_parity_float(self, batch):
+    @pytest.mark.parametrize("batch, tile", _BATCH_TILES)
+    def test_batch_vs_loop_parity_float(self, batch, tile, monkeypatch):
         g = compile_graph(_unfused_graph(seed=16)).graph
-        interp = Interpreter(g)
+        interp = _tiled(g, tile, monkeypatch)
         x = _x(g, n=batch, seed=batch)
         batched = interp.invoke(x)
         looped = np.concatenate([interp.invoke(x[i : i + 1]) for i in range(batch)])
         np.testing.assert_allclose(batched, looped, **TOL)
 
-    @pytest.mark.parametrize("batch", [1, 3, 16])
-    def test_batch_vs_loop_parity_quantized(self, batch):
+    @pytest.mark.parametrize("batch, tile", _BATCH_TILES)
+    def test_batch_vs_loop_parity_quantized(self, batch, tile, monkeypatch):
         from repro.models.spec import ArchSpec, ConvSpec, DenseSpec, GlobalPoolSpec, export_graph
 
         arch = ArchSpec(
@@ -463,12 +486,70 @@ class TestBatchExecution:
         )
         rng = np.random.default_rng(2)
         calib = rng.normal(0, 1, (8, 8, 8, 1)).astype(np.float32)
-        interp = Interpreter(export_graph(arch, calibration=calib, bits=8))
+        interp = _tiled(export_graph(arch, calibration=calib, bits=8), tile, monkeypatch)
         x = rng.normal(0, 1, (batch, 8, 8, 1)).astype(np.float32)
         batched = interp.invoke(x)
         looped = np.concatenate([interp.invoke(x[i : i + 1]) for i in range(batch)])
         # Quantized kernels are deterministic per sample: exact equality.
         assert np.array_equal(batched, looped)
+
+    def test_tiles_equal_invoking_each_slice_alone(self, monkeypatch):
+        g = compile_graph(_unfused_graph(seed=20)).graph
+        interp = _tiled(g, 3, monkeypatch)
+        x = _x(g, n=11, seed=20)
+        alone = np.concatenate([interp.invoke(x[i : i + 3].copy()) for i in range(0, 11, 3)])
+        np.testing.assert_array_equal(interp.invoke(x), alone)
+
+    def test_conv2d_column_matrix_sets_the_tile(self):
+        g = _unfused_graph(seed=21, blocks=1)
+        conv = next(op for op in g.ops if op.kind == "conv2d")
+        kh, kw, c = g.tensors[conv.inputs[1]].shape[:3]
+        oh, ow = g.tensors[conv.outputs[0]].shape[:2]
+        columns = oh * ow * kh * kw * c
+        assert (kh, kw) == (3, 3)
+        largest_tensor = max(
+            int(np.prod(spec.shape)) for spec in g.tensors.values()
+            if spec.kind not in ("weight", "bias")
+        )
+        assert columns > largest_tensor
+        assert sample_elements(g) == columns
+        assert Interpreter(g).tile == max(1, interpreter.TILE_ELEMENTS // columns)
+
+    def test_sample_over_budget_gets_tile_one(self, monkeypatch):
+        g = compile_graph(_unfused_graph(seed=22)).graph
+        monkeypatch.setattr(interpreter, "TILE_ELEMENTS", sample_elements(g) - 1)
+        interp = Interpreter(g)
+        assert interp.tile == 1
+        x = _x(g, n=3, seed=22)
+        looped = np.concatenate([interp.invoke(x[i : i + 1]) for i in range(3)])
+        np.testing.assert_array_equal(interp.invoke(x), looped)
+
+    def test_max_batch_raises_before_any_tile(self, monkeypatch):
+        g = compile_graph(_unfused_graph(seed=23)).graph
+        interp = _tiled(g, 1, monkeypatch, max_batch=4)
+        runs = []
+        monkeypatch.setattr(interp, "run_tile", lambda *args: runs.append(args))
+        with pytest.raises(GraphError, match="exceeds the planned batch"):
+            interp.invoke(_x(g, n=5, seed=23))
+        assert runs == []
+
+    def test_one_invoke_is_accounted_once_across_tiles(self, monkeypatch):
+        from repro import obs
+
+        g = compile_graph(_unfused_graph(seed=24)).graph
+        interp = _tiled(g, 2, monkeypatch)
+        obs.enable()
+        interp.invoke(_x(g, n=5, seed=24))
+        counters = obs.REGISTRY.as_dict()["counters"]
+        assert counters["interpreter.invocations"] == 1
+        kinds = [op.kind for op in g.ops]
+        for kind in set(kinds):
+            assert counters[f"interpreter.op_calls.{kind}"] == kinds.count(kind)
+            assert obs.REGISTRY.histograms[f"interpreter.op_seconds.{kind}"].count == kinds.count(kind)
+        assert set(interp.last_op_timings) == {op.name for op in g.ops}
+        (span,) = [r for r in obs.completed_spans() if r.name == "interpreter/invoke"]
+        assert span.metadata["tiles"] == 3
+        assert sum(interp.last_op_timings.values()) <= span.duration_s
 
     def test_batched_plan_scales_and_caches(self):
         g = compile_graph(_unfused_graph(seed=17)).graph

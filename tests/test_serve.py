@@ -241,7 +241,7 @@ class TestBatchCoalescingParity:
         ids=["float", "int8", "ad-s-float", "ad-s-int8", "vww-s-float", "vww-s-int8"],
     )
     def test_micronet_kws_s_parity_across_batches(self, model, bits, float_rtol):
-        """The serving models at batches 1/2/4: int8 bitwise, float close.
+        """The serving models at batches 2/4 and past one tile: int8 bitwise, float close.
 
         MicroNet-KWS-S (ids ``float``/``int8``), -AD-S and -VWW-S, the one
         with a residual ``add``. A batched float GEMM may sum in another
@@ -249,7 +249,9 @@ class TestBatchCoalescingParity:
         about 1e-11 against KWS-S logits of 3e-5, and up to 2.9e-6 of the
         scale of VWW-S's untrained logits, which are about 1e-7 and so sit
         far below the activations that sum to them. The int8 integer
-        kernels cannot move at all.
+        kernels cannot move at all. Coalesce sizes tile + 3 and 2·tile + 1
+        run as several tiles with a remainder; there each float tile equals
+        invoking its slice alone, bit for bit.
         """
         arch = model()
         rng = np.random.default_rng(7)
@@ -258,25 +260,33 @@ class TestBatchCoalescingParity:
             calibration = rng.standard_normal((8, *arch.input_shape)).astype(np.float32)
             graph = quantize_graph(graph, calibration=calibration, bits=8)
         graph = compile_graph(graph, level="O2").graph
-        xs = rng.standard_normal((4, *arch.input_shape)).astype(np.float32)
         serial = Interpreter(graph)
+        tile = serial.tile
+        xs = rng.standard_normal((2 * tile + 1, *arch.input_shape)).astype(np.float32)
         expected = np.concatenate([serial.invoke(xs[i : i + 1]) for i in range(len(xs))])
         scale = np.abs(expected).max(axis=1, keepdims=True)
-        for coalesce in (2, 4):  # batch 1 is the serial reference itself
+        # batch 1 is the serial reference itself
+        for coalesce in (2, 4, tile + 3, 2 * tile + 1):
+            count = max(coalesce, 4)
             server = ModelServer(clock=FakeClock())
             digest = server.register(graph, TenantConfig(max_batch=coalesce, max_wait_s=0.0))
-            for i in range(len(xs)):
+            for i in range(count):
                 server.submit(digest, xs[i], tag=i)
             server.run_until_idle()
             responses = sorted(server.drain(), key=lambda r: r.tag)
             assert {r.batch_size for r in responses} == {coalesce}
             outputs = np.stack([r.output for r in responses])
             if bits == 8:
-                assert np.array_equal(outputs, expected), f"int8 batch {coalesce}"
-            else:
-                assert np.all(np.abs(outputs - expected) <= float_rtol * scale), (
-                    f"float batch {coalesce} moved more than {float_rtol} of the output scale"
+                assert np.array_equal(outputs, expected[:count]), f"int8 batch {coalesce}"
+                continue
+            assert np.all(np.abs(outputs - expected[:count]) <= float_rtol * scale[:count]), (
+                f"float batch {coalesce} moved more than {float_rtol} of the output scale"
+            )
+            if coalesce > tile:
+                alone = np.concatenate(
+                    [serial.invoke(xs[s : min(s + tile, count)]) for s in range(0, count, tile)]
                 )
+                assert np.array_equal(outputs, alone), f"float batch {coalesce} vs its tiles"
 
     def test_parity_against_uncompiled_reference(self):
         """The compiled+batched server path matches the raw graph too."""
